@@ -374,7 +374,8 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> Dataset:
         perm = rng.permutation(len(members))
         train.extend(int(x) for x in members[perm[: counts[c]]])
     train_ids = tuple(sorted(train))
-    test_ids = tuple(i for i in range(ds.n) if i not in set(train_ids))
+    chosen = set(train)
+    test_ids = tuple(i for i in range(ds.n) if i not in chosen)
     return ds.with_split(train_ids, test_ids)
 
 

@@ -1,15 +1,22 @@
 """Per-feature pairwise distances: DTW for series, |a-b| for scalars, 0/1 for tokens.
 
 DTW uses the standard O(len(s) * len(t)) dynamic program with steps
-(i+1, j), (i, j+1), (i+1, j+1) and element cost |s_i - t_j|. The recurrence is
-evaluated along anti-diagonals so many pairs with the same grid shape can be
-swept in one vectorized pass; every cell is cost + min(up, left, diag), which
-makes the result bit-identical regardless of evaluation order or batching.
+(i+1, j), (i, j+1), (i+1, j+1) and element cost |s_i - t_j|. Pairs with the
+same grid shape are swept together along anti-diagonals in skewed
+(diagonal-major) order: the pairs are the last, contiguous axis, each
+anti-diagonal is a row range of a (len(s) + 1, pairs) buffer, and its up, left
+and diag neighbours are plain slices of the two previous diagonals' buffers.
+The costs are streamed: each diagonal's |s_i - t_j| is a slice of the stacked
+first series minus a slice of the stacked, reversed second series, so no
+(pairs, len(s), len(t)) grid is ever built. Every cell is
+cost + min(up, left, diag), which makes the result bit-identical regardless of
+evaluation order or batching.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,8 +25,10 @@ import numpy as np
 from .dataset import Dataset, FeatureKind, fingerprint
 from .errors import InputError
 
-# Cap on elements per batched DP buffer (~32 MB of float64).
-_BATCH_ELEMENTS = 1 << 22
+# Cap on float64 elements per DTW batch (~2 MB, so a batch stays in a core's
+# L2 cache): a batch of p pairs of a-by-b grids holds p * (a + b + 3 * (a + 1))
+# of them (the stacked series and the three diagonal buffers).
+_BATCH_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -37,31 +46,64 @@ def _check_sequence(x, what: str) -> np.ndarray:
     return arr
 
 
-def _band_mask(a: int, b: int, window: int | None) -> np.ndarray | None:
-    """True where |i - j| exceeds the warp window (cells to exclude)."""
-    if window is None:
-        return None
-    w = max(int(window), abs(a - b))
-    ii = np.arange(a)[:, None]
-    jj = np.arange(b)[None, :]
-    return np.abs(ii - jj) > w
+def _sweep(a: int, b: int, p: int, cost_diagonal, window: int | None) -> np.ndarray:
+    """The DTW dynamic program for p pairs of a-by-b grids, one anti-diagonal at a time.
+
+    Cell (i, j) (1-based) of anti-diagonal k = i + j lives at row i of a
+    (a + 1, p) buffer, so its up, left and diag neighbours are the plain slices
+    prev1[i - 1], prev1[i] and prev2[i - 1]. cost_diagonal(k, lo, hi) returns
+    the (hi - lo + 1, p) costs of rows lo..hi of diagonal k. Rows outside the
+    warp band |i - j| <= max(window, |a - b|) are never written and stay inf.
+    """
+    w = a + b if window is None else max(int(window), abs(a - b))
+    prev2, prev1, cur = (np.full((a + 1, p), np.inf) for _ in range(3))
+    prev2[0] = 0.0
+    best = np.empty((min(a, b), p))
+    # Lowest row written to each buffer's diagonal; rows below it must read inf.
+    lo2, lo1, stale = 0, 0, 0
+    for k in range(2, a + b + 1):
+        lo = max(1, k - b, (k - w + 1) // 2)
+        hi = min(a, k - 1, (k + w) // 2)
+        cur[stale:lo] = np.inf
+        if lo <= hi:
+            step = best[: hi - lo + 1]
+            np.minimum(prev1[lo - 1 : hi], prev1[lo : hi + 1], out=step)
+            np.minimum(step, prev2[lo - 1 : hi], out=step)
+            np.add(cost_diagonal(k, lo, hi), step, out=cur[lo : hi + 1])
+        prev2, prev1, cur = prev1, cur, prev2
+        stale, lo2, lo1 = lo2, lo1, lo
+    return prev1[a].copy()
 
 
 def _dtw_batch(costs: np.ndarray) -> np.ndarray:
     """Minimum warp-path cost for a (pairs, a, b) stack of cost grids."""
     p, a, b = costs.shape
-    acc = np.full((p, a + 1, b + 1), np.inf)
-    acc[:, 0, 0] = 0.0
-    for k in range(2, a + b + 1):
-        lo = max(1, k - b)
-        hi = min(a, k - 1)
+    grid = np.ascontiguousarray(costs.transpose(1, 2, 0))
+
+    def cost_diagonal(k, lo, hi):
         ii = np.arange(lo, hi + 1)
-        jj = k - ii
-        best = np.minimum(
-            np.minimum(acc[:, ii - 1, jj], acc[:, ii, jj - 1]), acc[:, ii - 1, jj - 1]
-        )
-        acc[:, ii, jj] = costs[:, ii - 1, jj - 1] + best
-    return acc[:, a, b]
+        return grid[ii - 1, k - ii - 1]
+
+    return _sweep(a, b, p, cost_diagonal, None)
+
+
+def _dtw_stacked(S: np.ndarray, T: np.ndarray, window: int | None) -> np.ndarray:
+    """DTW between the columns of S (a, pairs) and T (b, pairs), pair by pair.
+
+    The costs |s_i - t_j| of one anti-diagonal are a slice of S minus a slice
+    of T reversed, so they are computed as their diagonal is swept and no
+    (a, b) cost grid is built.
+    """
+    (a, p), b = S.shape, T.shape[0]
+    T_rev = np.ascontiguousarray(T[::-1])
+    diff = np.empty((min(a, b), p))
+
+    def cost_diagonal(k, lo, hi):
+        out = diff[: hi - lo + 1]
+        np.subtract(S[lo - 1 : hi], T_rev[b - k + lo : b - k + hi + 1], out=out)
+        return np.abs(out, out=out)
+
+    return _sweep(a, b, p, cost_diagonal, window)
 
 
 def dtw(s, t, window: int | None = None) -> float:
@@ -72,12 +114,7 @@ def dtw(s, t, window: int | None = None) -> float:
     """
     s = _check_sequence(s, "dtw first argument")
     t = _check_sequence(t, "dtw second argument")
-    costs = np.abs(s[:, None] - t[None, :])[None, :, :]
-    mask = _band_mask(len(s), len(t), window)
-    if mask is not None:
-        costs = costs.copy()
-        costs[0][mask] = np.inf
-    return float(_dtw_batch(costs)[0])
+    return float(_dtw_stacked(s[:, None], t[:, None], window)[0])
 
 
 def scalar_distance(a: float, b: float) -> float:
@@ -109,18 +146,13 @@ def _timeseries_matrix(series: list[np.ndarray], window: int | None) -> np.ndarr
         for j in range(i + 1, n):
             groups.setdefault((len(series[i]), len(series[j])), []).append((i, j))
     for (a, b), pairs in groups.items():
-        mask = _band_mask(a, b, window)
-        chunk = max(1, _BATCH_ELEMENTS // ((a + 1) * (b + 1)))
+        chunk = max(1, _BATCH_ELEMENTS // (a + b + 3 * (a + 1)))
         for start in range(0, len(pairs), chunk):
             block = pairs[start : start + chunk]
-            left = np.stack([series[i] for i, _ in block])
-            right = np.stack([series[j] for _, j in block])
-            costs = np.abs(left[:, :, None] - right[:, None, :])
-            if mask is not None:
-                costs[:, mask] = np.inf
-            dist = _dtw_batch(costs)
-            for (i, j), d in zip(block, dist):
-                out[i, j] = d
+            S = np.stack([series[i] for i, _ in block], axis=1)
+            T = np.stack([series[j] for _, j in block], axis=1)
+            rows, cols = zip(*block)
+            out[rows, cols] = _dtw_stacked(S, T, window)
     return out
 
 
@@ -138,7 +170,6 @@ def distance_matrix(
     if not 0 <= feature_id < ds.m:
         raise InputError(f"feature id {feature_id} out of range [0, {ds.m})")
     desc = ds.descriptors[feature_id]
-    n = ds.n
     if desc.kind is FeatureKind.TIMESERIES:
         series = []
         for seg in ds.segments:
@@ -146,18 +177,17 @@ def distance_matrix(
             series.append(znormalize(x) if znorm else x)
         upper = _timeseries_matrix(series, window)
     elif desc.kind is FeatureKind.SCALAR:
-        upper = np.zeros((n, n), dtype=np.float64)
-        for i, seg_i in enumerate(ds.segments):
-            for j in range(i + 1, n):
-                try:
-                    upper[i, j] = scalar_distance(seg_i.values[feature_id], ds.segments[j].values[feature_id])
-                except InputError as exc:
-                    raise InputError(f"feature {desc.name!r} segments ({i}, {j}): {exc}") from None
+        x = np.array([float(seg.values[feature_id]) for seg in ds.segments], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise InputError(
+                f"feature {desc.name!r} segment {ds.segments[bad[0]].id}: "
+                "scalar distance requires finite inputs"
+            )
+        upper = np.triu(np.abs(np.subtract.outer(x, x)), 1)
     else:
-        upper = np.zeros((n, n), dtype=np.float64)
-        for i, seg_i in enumerate(ds.segments):
-            for j in range(i + 1, n):
-                upper[i, j] = categorical_distance(seg_i.values[feature_id], ds.segments[j].values[feature_id])
+        tokens = np.array([seg.values[feature_id] for seg in ds.segments], dtype=object)
+        upper = np.triu(np.not_equal.outer(tokens, tokens), 1).astype(np.float64)
     values = upper + upper.T
     return DistanceMatrix(feature_id=feature_id, values=values)
 
@@ -171,24 +201,39 @@ def cache_signature(ds: Dataset, window: int | None, znorm: bool) -> str:
 
 
 def _write_matrix(path: Path, values: np.ndarray) -> None:
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        for row in values:
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write("\n")
-    os.replace(tmp, path)
+    """Write through a temp file unique to this call, then rename it into place,
+    so concurrent writers sharing a cache directory never mix their bytes."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            for row in values:
+                fh.write(",".join(repr(float(x)) for x in row))
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_matrix(path: Path, n: int) -> np.ndarray:
-    rows = []
+    """Load a cached matrix, rejecting any file that is not a valid distance matrix."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    values = np.array(rows, dtype=np.float64)
+        lines = [line.strip() for line in fh]
+    try:
+        rows = [[float(tok) for tok in line.split(",")] for line in lines if line]
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        raise InputError(f"cached matrix {path} is not a table of decimal reals") from None
     if values.shape != (n, n):
         raise InputError(f"cached matrix {path} has shape {values.shape}, expected {(n, n)}")
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"cached matrix {path} has a non-finite value")
+    if np.any(values < 0):
+        raise InputError(f"cached matrix {path} has a negative value")
+    if not np.array_equal(values.view(np.uint64), values.T.view(np.uint64)):
+        raise InputError(f"cached matrix {path} is not bitwise symmetric")
+    if np.any(np.diag(values) != 0):
+        raise InputError(f"cached matrix {path} has a nonzero diagonal")
     return values
 
 
@@ -202,7 +247,9 @@ def cached_distance_matrix(
     """distance_matrix() with a per-feature CSV cache under cache_dir.
 
     Layout: <cache_dir>/<signature>/M_<feature_id>.csv, full n x n matrix with
-    round-trip-exact decimal reals. Writes are atomic (tmp file + rename).
+    round-trip-exact decimal reals. Writes are atomic (unique tmp file + rename);
+    reads reject a file that is not a finite, nonnegative, bitwise-symmetric
+    matrix with a zero diagonal.
     """
     if cache_dir is None:
         return distance_matrix(ds, feature_id, window=window, znorm=znorm)

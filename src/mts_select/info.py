@@ -224,7 +224,7 @@ def nystrom_redundancy(
         raise InputError(f"landmark count must satisfy 1 <= s <= {m}; got {s}")
     rng = np.random.default_rng(seed)
     landmarks = np.sort(rng.choice(m, size=s, replace=False))
-    rest = np.array([i for i in range(m) if i not in set(landmarks.tolist())], dtype=np.intp)
+    rest = np.setdiff1d(np.arange(m), landmarks)
 
     A = np.zeros((s, s), dtype=np.float64)
     for ai, i in enumerate(landmarks):

@@ -36,12 +36,19 @@ def warp_paths(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(paths)
 
 
-def dtw_brute(s, t) -> float:
-    """Minimum warp-path cost by full enumeration."""
+def dtw_brute(s, t, window=None) -> float:
+    """Minimum warp-path cost by full enumeration.
+
+    With a window, only paths whose every step keeps |i - j| <= max(window,
+    |len(s) - len(t)|) count.
+    """
     s = list(s)
     t = list(t)
+    band = None if window is None else max(window, abs(len(s) - len(t)))
     best = math.inf
     for path in warp_paths(len(s), len(t)):
+        if band is not None and any(abs(i - j) > band for i, j in path):
+            continue
         cost = sum(abs(s[i] - t[j]) for i, j in path)
         best = min(best, cost)
     return best

@@ -1,11 +1,16 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mts_select import distance as distance_mod
 from mts_select.distance import (
+    _read_matrix,
+    _write_matrix,
     cached_distance_matrix,
     categorical_distance,
     distance_matrix,
@@ -24,6 +29,38 @@ finite_series = st.lists(
     min_size=1,
     max_size=12,
 )
+
+
+def row_dp(s, t, window=None):
+    """Independent textbook formulation: row-by-row table fill, cells outside
+    the band |i - j| <= max(window, |len(s) - len(t)|) left at inf."""
+    band = None if window is None else max(window, abs(len(s) - len(t)))
+    table = [[float("inf")] * (len(t) + 1) for _ in range(len(s) + 1)]
+    table[0][0] = 0.0
+    for i in range(1, len(s) + 1):
+        for j in range(1, len(t) + 1):
+            if band is not None and abs(i - j) > band:
+                continue
+            cost = abs(s[i - 1] - t[j - 1])
+            table[i][j] = cost + min(table[i - 1][j], table[i][j - 1], table[i - 1][j - 1])
+    return table[len(s)][len(t)]
+
+
+def series_dataset(cols):
+    labels = ["a" if i % 2 == 0 else "b" for i in range(len(cols))]
+    return make_dataset([("ts", "timeseries", cols)], labels)
+
+
+def assert_matrix_matches_references(cols, window, reference):
+    """distance_matrix equals per-pair dtw() and the reference, bit for bit."""
+    M = distance_matrix(series_dataset(cols), 0, window=window).values
+    assert M.tobytes() == M.T.tobytes()
+    assert np.all(np.diag(M) == 0.0)
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            expected = reference(cols[i], cols[j], window)
+            assert M[i, j] == dtw(cols[i], cols[j], window=window) == expected, (i, j, window)
+    return M
 
 
 class TestDtw:
@@ -55,18 +92,6 @@ class TestDtw:
                 assert dtw(s, t) == dtw_brute(s, t)
 
     def test_matches_plain_row_dp_on_long_sequences(self):
-        # Independent textbook formulation: row-by-row table fill.
-        def row_dp(s, t):
-            table = [[float("inf")] * (len(t) + 1) for _ in range(len(s) + 1)]
-            table[0][0] = 0.0
-            for i in range(1, len(s) + 1):
-                for j in range(1, len(t) + 1):
-                    cost = abs(s[i - 1] - t[j - 1])
-                    table[i][j] = cost + min(
-                        table[i - 1][j], table[i][j - 1], table[i - 1][j - 1]
-                    )
-            return table[len(s)][len(t)]
-
         rng = np.random.default_rng(21)
         for _ in range(20):
             s = rng.normal(size=rng.integers(5, 40)).tolist()
@@ -101,6 +126,61 @@ class TestDtw:
         s = [1.0, 3.0, 4.0, 0.5]
         t = [1.0, 4.0]
         assert dtw(s, t, window=10) == dtw(s, t)
+
+
+class TestKernel:
+    """The batched, streamed anti-diagonal sweep against independent references."""
+
+    def test_lengths_vary_within_feature(self):
+        rng = np.random.default_rng(8)
+        cols = [rng.normal(size=L).tolist() for L in (1, 2, 3, 4, 5, 5, 3, 1, 4, 2, 5, 3)]
+        assert_matrix_matches_references(cols, None, dtw_brute)
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 50])
+    def test_window(self, window):
+        # Lengths 1..5 give |a - b| up to 4, so windows 0, 1 and 2 are often
+        # narrower than the length difference; 50 is wider than every series.
+        rng = np.random.default_rng(100 + window)
+        cols = [rng.normal(size=L).tolist() for L in (5, 1, 3, 4, 2, 5, 1, 4, 3)]
+        assert_matrix_matches_references(cols, window, dtw_brute)
+
+    @pytest.mark.parametrize("window", [None, 0])
+    def test_length_one_series(self, window):
+        cols = [[2.5], [1.0], [0.0, 4.0, 1.0], [1.0], [3.0, 3.0], [-1.0]]
+        assert_matrix_matches_references(cols, window, dtw_brute)
+
+    @pytest.mark.parametrize("window", [None, 1])
+    def test_integer_tie_heavy_series(self, window):
+        rng = np.random.default_rng(3)
+        lengths = (4, 5, 3, 5, 4, 2, 5, 1, 3, 4)
+        cols = [rng.integers(0, 3, size=L).astype(float).tolist() for L in lengths]
+        assert_matrix_matches_references(cols, window, dtw_brute)
+
+    @pytest.mark.parametrize("window", [None, 0, 3])
+    def test_long_series_against_row_dp(self, window):
+        rng = np.random.default_rng(17)
+        cols = [rng.normal(size=L).tolist() for L in (12, 20, 16, 12, 19, 20)]
+        assert_matrix_matches_references(cols, window, row_dp)
+
+    @pytest.mark.parametrize("window", [None, 1])
+    def test_pairs_span_several_batches(self, monkeypatch, window):
+        rng = np.random.default_rng(23)
+        cols = [rng.normal(size=L).tolist() for L in (3, 4) * 6]
+        whole = assert_matrix_matches_references(cols, window, row_dp)
+        batches = []
+        stacked = distance_mod._dtw_stacked
+
+        def recording(S, T, w):
+            batches.append(S.shape[1])
+            return stacked(S, T, w)
+
+        # A pair of 3- or 4-long series needs 18 to 23 elements, so a cap of 40
+        # splits every grid shape into batches of one or two pairs.
+        monkeypatch.setattr(distance_mod, "_BATCH_ELEMENTS", 40)
+        monkeypatch.setattr(distance_mod, "_dtw_stacked", recording)
+        split = distance_matrix(series_dataset(cols), 0, window=window).values
+        assert sum(batches) == 66 and max(batches) == 2
+        assert split.tobytes() == whole.tobytes()
 
 
 class TestScalarAndCategorical:
@@ -171,6 +251,29 @@ class TestDistanceMatrix:
         np.testing.assert_array_equal(znormalize(np.array([2.0, 2.0, 2.0])), [0.0, 0.0, 0.0])
 
 
+    def test_scalar_matrix_matches_pairwise_loop(self):
+        rng = np.random.default_rng(9)
+        col = (rng.normal(size=9) * 1e3).tolist()
+        ds = make_dataset([("s", "scalar", col)], ["a", "b", "c"] * 3)
+        M = distance_matrix(ds, 0).values
+        for i in range(9):
+            for j in range(9):
+                assert M[i, j] == scalar_distance(col[min(i, j)], col[max(i, j)])
+
+    def test_non_finite_scalar_names_segment(self):
+        ds = make_dataset([("s", "scalar", [0.0, np.nan, 2.0])], ["a", "b", "a"])
+        with pytest.raises(InputError, match=r"'s' segment 1: .*finite"):
+            distance_matrix(ds, 0)
+
+    def test_categorical_matrix_matches_pairwise_loop(self):
+        tokens = ["M", "F", "m", "M", "F", "", "ICU1", "icu1", "M"]
+        ds = make_dataset([("c", "categorical", tokens)], ["a", "b", "c"] * 3)
+        M = distance_matrix(ds, 0).values
+        for i in range(9):
+            for j in range(9):
+                assert M[i, j] == categorical_distance(tokens[i], tokens[j])
+
+
 class TestCache:
     def test_cache_round_trip_is_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -193,3 +296,82 @@ class TestCache:
     def test_none_cache_dir_computes(self, scalar_dataset):
         M = cached_distance_matrix(scalar_dataset, 0, None)
         np.testing.assert_array_equal(M.values, [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
+
+    def test_interleaved_writers_do_not_mix(self, tmp_path):
+        path = tmp_path / "M_0.csv"
+        first = np.array([[0.0, 1.5], [1.5, 0.0]])
+        second = np.array([[0.0, 2.25], [2.25, 0.0]])
+
+        def rows_with_a_rival_write():
+            yield first[0]
+            _write_matrix(path, second)  # another process finishes its write meanwhile
+            yield first[1]
+
+        _write_matrix(path, rows_with_a_rival_write())
+        assert _read_matrix(path, 2).tobytes() == first.tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["M_0.csv"]
+
+    def test_concurrent_writers_stress(self, tmp_path):
+        path = tmp_path / "M_0.csv"
+        matrices = []
+        for w in range(4):
+            upper = np.triu(np.full((40, 40), 0.1 * (w + 1)), 1)
+            matrices.append(upper + upper.T)
+        errors = []
+
+        def writer(values):
+            try:
+                for _ in range(15):
+                    _write_matrix(path, values)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(M,)) for M in matrices]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        final = _read_matrix(path, 40).tobytes()
+        assert any(final == M.tobytes() for M in matrices)
+        assert [p.name for p in tmp_path.iterdir()] == ["M_0.csv"]
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            ({(0, 1): np.nan, (1, 0): np.nan}, "non-finite"),
+            ({(0, 2): np.inf, (2, 0): np.inf}, "non-finite"),
+            ({(1, 2): -1.0, (2, 1): -1.0}, "negative"),
+            ({(0, 1): 0.5}, "not bitwise symmetric"),
+            ({(1, 1): 0.25}, "nonzero diagonal"),
+        ],
+    )
+    def test_corrupt_cache_file_rejected(self, tmp_path, corrupt, message):
+        ds = make_dataset([("ts", "timeseries", [[1, 5, 2], [2, 2, 2], [0, 1]])], ["a", "b", "a"])
+        values = cached_distance_matrix(ds, 0, tmp_path).values.copy()
+        for idx, v in corrupt.items():
+            values[idx] = v
+        (path,) = tmp_path.rglob("M_0.csv")
+        _write_matrix(path, values)
+        with pytest.raises(InputError, match=rf"M_0\.csv.*{message}"):
+            cached_distance_matrix(ds, 0, tmp_path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0.0,1.0\n1.0,0.0\n", "shape"),
+            ("0.0,1.0,2.0\n1.0,zero,3.0\n2.0,3.0,0.0\n", "not a table"),
+            ("0.0,1.0,2.0\n1.0,0.0\n2.0,3.0,0.0\n", "not a table"),
+        ],
+    )
+    def test_malformed_cache_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "M_0.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=rf"M_0\.csv.*{message}"):
+            _read_matrix(path, 3)
