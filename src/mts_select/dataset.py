@@ -382,19 +382,28 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> Dataset:
 def fingerprint(ds: Dataset) -> str:
     """Content hash of descriptors and values (labels and split excluded).
 
-    Distance matrices depend only on this, so it keys the on-disk cache.
+    Distance matrices depend only on this, so it keys the on-disk cache. The
+    hashed bytes decode back to the content: the segment ids come first, then
+    per feature a header line, the <i8 length of every segment's value (in
+    values, or bytes for UTF-8 tokens) and the values concatenated (<f8
+    numbers or the tokens), so two different datasets never share a stream.
     """
     h = hashlib.sha256()
+    h.update(np.array([ds.n, *(seg.id for seg in ds.segments)], dtype="<i8"))
+    columns = list(zip(*(seg.values for seg in ds.segments)))
     for d in ds.descriptors:
         h.update(f"F|{d.name}|{d.kind.value}\n".encode("utf-8"))
-        for seg in ds.segments:
-            v = seg.values[d.id]
-            if d.kind is FeatureKind.TIMESERIES:
-                h.update(f"{seg.id}|".encode("utf-8"))
-                h.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
-            elif d.kind is FeatureKind.SCALAR:
-                h.update(f"{seg.id}|{float(v)!r}".encode("utf-8"))
-            else:
-                h.update(f"{seg.id}|{v}".encode("utf-8"))
-            h.update(b"\n")
+        column = columns[d.id]
+        if d.kind is FeatureKind.TIMESERIES:
+            lengths = [v.size for v in column]
+            data = np.concatenate(column).astype("<f8", copy=False)
+        elif d.kind is FeatureKind.SCALAR:
+            lengths = [1] * len(column)
+            data = np.array(column, dtype="<f8")
+        else:
+            tokens = [str(v).encode("utf-8") for v in column]
+            lengths = [len(t) for t in tokens]
+            data = b"".join(tokens)
+        h.update(np.array(lengths, dtype="<i8"))
+        h.update(data)
     return h.hexdigest()

@@ -3,6 +3,15 @@
 Embeddings are real vectors, so mutual-information style scores first bin them
 with a deterministic 1-D k-means (as many bins as there are classes). All
 entropies and informations are in nats.
+
+The redundancy matrices need a contingency table for every pair of features.
+They are not built pair by pair: with each feature's bins one-hot encoded as
+OH (n, m*c), the product OH^T OH holds every (bins_i, bins_j) table and
+(OH (x) onehot(y))^T OH every (bins_i, y, bins_j) table, as exact integer
+counts. The tables are then evaluated with the float arithmetic of
+mutual_information and conditional_mi, in the same order, so the matrices
+carry the same bits as calling those functions on each pair (below 8 classes;
+see _mi_tables). Row features go through in blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -139,12 +148,6 @@ class RedundancyMatrix:
 VALID_KINDS = ("mi", "cmi")
 
 
-def _pair_entry(kind: str, bins_i: np.ndarray, bins_j: np.ndarray, y: np.ndarray) -> float:
-    if kind == "mi":
-        return mutual_information(bins_i, bins_j)
-    return 0.5 * (conditional_mi(bins_i, y, bins_j) + conditional_mi(bins_j, y, bins_i))
-
-
 def _diag_entry(kind: str, bins_i: np.ndarray, y: np.ndarray) -> float:
     if kind == "mi":
         return entropy(bins_i)
@@ -161,21 +164,137 @@ def _quantize_all(embeddings, num_classes: int) -> list[np.ndarray]:
     return [quantize(v, num_classes) for v in vecs]
 
 
-def build_redundancy(embeddings, labels: np.ndarray, num_classes: int, kind: str) -> RedundancyMatrix:
-    """Exact m x m redundancy matrix over quantized embeddings."""
+# Cap on float64 count-table elements per row block of the redundancy kernel.
+# A block of r row features against C column features holds r * C * c * c * k
+# of them (c bins, k label values for "cmi", k = 1 for "mi"), and evaluating
+# it keeps a few arrays of that size alive. A block is at least one row
+# feature, so the kernel's working memory is the larger of ~256 KB and one
+# row's C * c * c * k cells, not the m x m x c x c x k of all tables at once.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+@dataclass
+class _OneHot:
+    """The encodings the kernel multiplies: onehot[t, j, u] = 1 where
+    bins_j[t] == u, and, for "cmi" only, labels[t, v] = 1 where y[t] is the
+    v-th label value."""
+
+    kind: str
+    bins: list[np.ndarray]
+    y: np.ndarray
+    onehot: np.ndarray  # (n, m, c)
+    labels: np.ndarray | None  # (n, k)
+
+
+def _encode(embeddings, labels: np.ndarray, num_classes: int, kind: str) -> _OneHot:
     if kind not in VALID_KINDS:
         raise InputError(f"penalty kind must be one of {VALID_KINDS}; got {kind!r}")
     y = np.asarray(labels).ravel()
     bins = _quantize_all(embeddings, num_classes)
-    m = len(bins)
-    out = np.zeros((m, m), dtype=np.float64)
-    for i in range(m):
-        out[i, i] = _diag_entry(kind, bins[i], y)
-        for j in range(i + 1, m):
-            v = _pair_entry(kind, bins[i], bins[j], y)
-            out[i, j] = v
-            out[j, i] = v
-    return RedundancyMatrix(kind=kind, values=out)
+    onehot = (np.stack(bins, axis=1)[:, :, None] == np.arange(num_classes)).astype(np.float64)
+    if kind == "mi":
+        return _OneHot(kind, bins, y, onehot, None)
+    if y.size != onehot.shape[0]:
+        raise InputError(f"length mismatch: {onehot.shape[0]} vs {y.size}")
+    values, codes = np.unique(y, return_inverse=True)
+    label_onehot = (codes.reshape(-1, 1) == np.arange(values.size)).astype(np.float64)
+    return _OneHot(kind, bins, y, onehot, label_onehot)
+
+
+def _mi_tables(joint: np.ndarray) -> np.ndarray:
+    """I(a; b) of every joint distribution joint[:, :, ...] (a on axis 0, b on
+    axis 1, one table per trailing index).
+
+    The float arithmetic is mutual_information's: marginals summed in index
+    order, then pij * log(pij / (pa * pb)) added over the cells in row-major
+    order, one vectorized add per cell. An empty cell adds an exact 0.0, so a
+    table over all bin values gives the bits of the table over the values
+    present. (numpy's own row sum goes pairwise at 8 or more values present,
+    so there the two may differ in the last bit.)
+    """
+    r, s = joint.shape[:2]
+    pa = joint[:, 0].copy()
+    for v in range(1, s):
+        pa += joint[:, v]
+    pb = joint[0].copy()
+    for u in range(1, r):
+        pb += joint[u]
+    total = np.zeros(joint.shape[2:])
+    for u in range(r):
+        for v in range(s):
+            pij = joint[u, v]
+            ratio = np.divide(pij, pa[u] * pb[v], out=np.ones_like(pij), where=pij > 0.0)
+            total += pij * np.log(ratio)
+    return total
+
+
+def _directed(enc: _OneHot, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """D[a, b] = I(bins_i; bins_j) ("mi") or I(bins_i; y | bins_j) ("cmi") for
+    i = rows[a], j = cols[b], evaluated like mutual_information / conditional_mi.
+
+    The contingency tables of every pair come from one product of one-hot
+    encodings per row block: onehot_iᵀ·onehot_j counts (bins_i, bins_j), and
+    (onehot_i ⊗ labels)ᵀ·onehot_j counts (bins_i, y, bins_j). The counts are
+    sums of 0/1 products, so they are exact in any summation order. einsum
+    computes the product in numpy's own loop and writes the tables' cells
+    outermost: BLAS would be faster at large m, but it keeps its packing
+    buffer resident (about 0.5 MB, which showed in a select's peak RSS), and
+    an unpinned BLAS thread pool made each small product cost milliseconds on
+    a 2-vCPU machine.
+    """
+    n, _, c = enc.onehot.shape
+    k = 1 if enc.kind == "mi" else enc.labels.shape[1]
+    # Fancy indexing on axis 1 returns strided copies, on which einsum runs
+    # about 10x slower than on contiguous ones.
+    right = np.ascontiguousarray(enc.onehot[:, cols])
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(cols) * c * k * c))
+    out = np.empty((len(rows), len(cols)))
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        left = np.ascontiguousarray(enc.onehot[:, rows[block]])
+        if enc.kind == "mi":
+            joint = np.einsum("tiu,tjz->uzij", left, right)
+            joint /= n
+            out[block] = _mi_tables(joint)
+            continue
+        left = left[..., None] * enc.labels[:, None, None, :]
+        joint = np.einsum("tiuv,tjz->uvijz", left, right)
+        # Strata are the values z of bins_j, summed in ascending order; an
+        # empty stratum has all-zero counts and adds 0 * 0.
+        sizes = joint.sum(axis=(0, 1))
+        joint /= np.maximum(sizes, 1.0)
+        mi = _mi_tables(joint)
+        total = np.zeros(sizes.shape[:2])
+        for z in range(c):
+            total += sizes[..., z] / n * mi[..., z]
+        out[block] = total
+    return out
+
+
+def _pairs(enc: _OneHot, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """P[a, b] = the penalty entry of the pair (rows[a], cols[b]), row feature
+    first: I(bins_i; bins_j) for "mi", and for "cmi" the symmetrized
+    0.5 * (I(bins_i; y | bins_j) + I(bins_j; y | bins_i))."""
+    forward = _directed(enc, rows, cols)
+    if enc.kind == "mi":
+        return forward
+    backward = forward if np.array_equal(rows, cols) else _directed(enc, cols, rows)
+    return 0.5 * (forward + backward.T)
+
+
+def _symmetric_block(enc: _OneHot, features: np.ndarray) -> np.ndarray:
+    """Exact block over features: the upper triangle's pair entries (the
+    lower-indexed feature first) mirrored below, and the diagonal entries."""
+    out = np.triu(_pairs(enc, features, features), 1)
+    out += out.T
+    out[np.diag_indices_from(out)] = [_diag_entry(enc.kind, enc.bins[i], enc.y) for i in features]
+    return out
+
+
+def build_redundancy(embeddings, labels: np.ndarray, num_classes: int, kind: str) -> RedundancyMatrix:
+    """Exact m x m redundancy matrix over quantized embeddings."""
+    enc = _encode(embeddings, labels, num_classes, kind)
+    return RedundancyMatrix(kind=kind, values=_symmetric_block(enc, np.arange(len(enc.bins))))
 
 
 def pinv_sym(A: np.ndarray, cutoff: float) -> np.ndarray:
@@ -215,28 +334,15 @@ def nystrom_redundancy(
     chosen landmarks are recorded on the result). s == m reproduces
     build_redundancy exactly.
     """
-    if kind not in VALID_KINDS:
-        raise InputError(f"penalty kind must be one of {VALID_KINDS}; got {kind!r}")
-    y = np.asarray(labels).ravel()
-    bins = _quantize_all(embeddings, num_classes)
-    m = len(bins)
+    enc = _encode(embeddings, labels, num_classes, kind)
+    m = len(enc.bins)
     if not 1 <= s <= m:
         raise InputError(f"landmark count must satisfy 1 <= s <= {m}; got {s}")
     rng = np.random.default_rng(seed)
     landmarks = np.sort(rng.choice(m, size=s, replace=False))
     rest = np.setdiff1d(np.arange(m), landmarks)
-
-    A = np.zeros((s, s), dtype=np.float64)
-    for ai, i in enumerate(landmarks):
-        A[ai, ai] = _diag_entry(kind, bins[i], y)
-        for aj in range(ai + 1, s):
-            v = _pair_entry(kind, bins[i], bins[landmarks[aj]], y)
-            A[ai, aj] = v
-            A[aj, ai] = v
-    B = np.zeros((s, rest.size), dtype=np.float64)
-    for ai, i in enumerate(landmarks):
-        for rj, j in enumerate(rest):
-            B[ai, rj] = _pair_entry(kind, bins[i], bins[j], y)
+    A = _symmetric_block(enc, landmarks)
+    B = _pairs(enc, landmarks, rest)
 
     approx = np.zeros((m, m), dtype=np.float64)
     order = np.concatenate([landmarks, rest])

@@ -118,8 +118,10 @@ def solve(
     Each coordinate update is a_k <- max(0, z_k a_k - g_k - lambda) / z_k with
     g_k the smooth gradient and z_k = ||H_k||^2 + 2 beta P_kk its curvature.
     A sweep ends the loop when the largest coordinate change is at most
-    tol * (1 + ||a||_inf). The per-sweep objective is recorded and must be
-    nonincreasing (1e-10 relative slack), otherwise ConsistencyError.
+    tol * (1 + ||a||_inf); running out of max_sweeps first returns the last
+    iterate with converged=False and a RuntimeWarning. The per-sweep
+    objective is recorded and must be nonincreasing (1e-10 relative slack),
+    otherwise ConsistencyError.
     """
     penalty = np.asarray(penalty, dtype=np.float64)
     m = design.columns.shape[1]
@@ -168,6 +170,12 @@ def solve(
         if max_change <= tol * (1.0 + float(np.max(np.abs(alpha), initial=0.0))):
             converged = True
             break
+    if not converged:
+        warnings.warn(
+            f"coordinate descent did not converge at lambda={lam!r} within {sweeps} sweeps",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return SolveResult(
         alpha=alpha,
         objective_trace=np.array(trace),

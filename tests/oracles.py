@@ -140,6 +140,30 @@ def nmi_from_bins_brute(bins, y) -> float:
     return mi_brute(bins, y) / math.sqrt(hb * entropy_brute(y))
 
 
+def redundancy_brute(bins, y, kind: str) -> np.ndarray:
+    """Redundancy matrix over already-quantized features, one pair at a time.
+
+    Unlike the rest of this module it calls the package's scalar measures
+    (themselves checked against mi_brute / cmi_brute / entropy_brute), so the
+    count-matrix kernel can be held to the pair loop's exact bits.
+    """
+    from mts_select.info import conditional_mi, entropy, mutual_information
+
+    y = np.asarray(y).ravel()
+    m = len(bins)
+    out = np.zeros((m, m), dtype=np.float64)
+    for i in range(m):
+        out[i, i] = entropy(bins[i]) if kind == "mi" else mutual_information(bins[i], y)
+        for j in range(i + 1, m):
+            if kind == "mi":
+                v = mutual_information(bins[i], bins[j])
+            else:
+                v = 0.5 * (conditional_mi(bins[i], y, bins[j]) + conditional_mi(bins[j], y, bins[i]))
+            out[i, j] = v
+            out[j, i] = v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Solver: exact minimum of the objective over a regular grid.
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mts_select.dataset import load_dataset, split, write_dataset
+from mts_select.dataset import fingerprint, load_dataset, split, write_dataset
 from mts_select.errors import InputError
 from mts_select.synthetic import generate
 
@@ -155,6 +155,30 @@ class TestSplit:
         out = split(ds, 0.66, seed=2)
         assert sorted(out.train_ids + out.test_ids) == list(range(9))
         assert not set(out.train_ids) & set(out.test_ids)
+
+
+class TestFingerprint:
+    def test_series_boundaries_are_part_of_the_key(self):
+        # Written as "<segment id>|<series bytes>\n" per segment, both datasets
+        # give the same bytes: y1 and z hide the separator "\n1|" inside a float,
+        # so only a length prefix tells where the first series ends.
+        y1 = np.frombuffer(b"\0\0\0\0\x3f\n1|", dtype="<f8")[0]
+        z = np.frombuffer(b"\n1|\0\0\0\0\x3f", dtype="<f8")[0]
+        assert np.isfinite(y1) and np.isfinite(z)
+        a = make_dataset([("s", "timeseries", [[1.0], [y1, 2.5]])], ["p", "q"])
+        b = make_dataset([("s", "timeseries", [[1.0, z], [2.5]])], ["p", "q"])
+        assert fingerprint(a) != fingerprint(b)
+
+    def test_depends_on_values_not_on_labels_or_split(self):
+        columns = [
+            ("ts", "timeseries", [[0.5, 1.0], [2.0]]),
+            ("sc", "scalar", [1.5, -0.25]),
+            ("cat", "categorical", ["ab", "c"]),
+        ]
+        base = fingerprint(make_dataset(columns, ["p", "q"]))
+        assert fingerprint(make_dataset(columns, ["q", "q"], (1,), (0,))) == base
+        moved = [columns[0], columns[1], ("cat", "categorical", ["a", "bc"])]
+        assert fingerprint(make_dataset(moved, ["p", "q"])) != base
 
 
 class TestValidationFuzz:

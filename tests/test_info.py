@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mts_select import info
 from mts_select.errors import InputError
 from mts_select.info import (
+    VALID_KINDS,
     RedundancyMatrix,
     build_redundancy,
     conditional_mi,
@@ -21,7 +23,7 @@ from mts_select.info import (
     quantize,
 )
 
-from oracles import cmi_brute, entropy_brute, mi_brute
+from oracles import cmi_brute, entropy_brute, mi_brute, redundancy_brute
 
 
 class TestQuantize:
@@ -183,6 +185,89 @@ class TestBuildRedundancy:
     def test_unknown_kind(self):
         with pytest.raises(InputError, match="penalty kind"):
             build_redundancy([np.array([0.1, 0.9])], np.array([0, 1]), 2, "corr")
+
+
+def assert_matches_pair_loop(embs, y, num_classes):
+    """build_redundancy and nystrom_redundancy(s=m) against the pair loop:
+    bitwise below 8 classes; at 8 or more, numpy's pairwise row sum in the
+    loop may move the last bit."""
+    bins = [quantize(e, num_classes) for e in embs]
+    for kind in VALID_KINDS:
+        expected = redundancy_brute(bins, y, kind)
+        exact = build_redundancy(embs, y, num_classes, kind).values
+        full = nystrom_redundancy(embs, y, num_classes, kind, s=len(embs)).values
+        for got in (exact, full):
+            if num_classes < 8:
+                assert got.tobytes() == expected.tobytes(), kind
+            else:
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+@st.composite
+def redundancy_inputs(draw, classes):
+    # The shape comes from hypothesis and the values from a seeded generator.
+    # A feature is constant, takes two or c levels (ties, empty bins,
+    # one-segment strata) or is continuous.
+    c = draw(classes)
+    n = draw(st.integers(c, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    embs = []
+    for _ in range(draw(st.integers(1, 6))):
+        levels = draw(st.sampled_from([1, 2, c, None]))
+        embs.append(rng.random(n) if levels is None else rng.integers(0, levels, n).astype(float))
+    return embs, rng.integers(0, c, size=n), c
+
+
+class TestRedundancyKernel:
+    @given(redundancy_inputs(st.integers(2, 7)))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_pair_loop(self, inputs):
+        assert_matches_pair_loop(*inputs)
+
+    @given(redundancy_inputs(st.integers(8, 12)))
+    @settings(max_examples=20, deadline=None)
+    def test_many_classes_within_1e15_of_pair_loop(self, inputs):
+        assert_matches_pair_loop(*inputs)
+
+    def test_edge_cases(self):
+        assert_matches_pair_loop([np.array([0.0, 1.0])], np.array([0, 1]), 2)
+        embs = [
+            np.full(6, 0.5),
+            np.array([0.0, 0, 0, 1, 1, 1]),
+            np.array([0.0, 0, 0, 0, 0, 9]),
+            np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+        ]
+        y = np.array([0, 0, 1, 1, 2, 2])
+        constant, empty_bin, singleton, _ = [quantize(e, 3) for e in embs]
+        assert np.all(constant == 0)
+        assert np.bincount(empty_bin, minlength=3).min() == 0
+        assert 1 in np.bincount(singleton)
+        assert 2 not in y[empty_bin == empty_bin[0]]
+        assert_matches_pair_loop(embs, y, 3)
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        embs = [rng.random(20) for _ in range(7)]
+        y = rng.integers(0, 3, size=20)
+
+        def run():
+            return [
+                R.values.tobytes()
+                for kind in VALID_KINDS
+                for R in (
+                    build_redundancy(embs, y, 3, kind),
+                    nystrom_redundancy(embs, y, 3, kind, s=3, seed=1),
+                )
+            ]
+
+        assert 7 * 7 * 3 * 3 * 3 <= info._BLOCK_ELEMENTS  # one block by default
+        one_block = run()
+        monkeypatch.setattr(info, "_BLOCK_ELEMENTS", 1)
+        assert run() == one_block
+
+    def test_cmi_label_length_mismatch(self):
+        with pytest.raises(InputError, match="length mismatch"):
+            build_redundancy([np.array([0.1, 0.9, 0.5])], np.array([0, 1]), 2, "cmi")
 
 
 class TestNystrom:

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +202,16 @@ class TestSolve:
         b = solve(design, penalty, lam, beta)
         assert a.alpha.tobytes() == b.alpha.tobytes()
         assert np.array_equal(a.objective_trace, b.objective_trace)
+
+    def test_sweep_budget_exhaustion_warns(self):
+        rng = np.random.default_rng(11)
+        design, penalty, lam, beta = random_instance(rng, m=4, n=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve(design, penalty, lam, beta).converged
+        with pytest.warns(RuntimeWarning, match=re.escape(f"lambda={lam!r} within 1 sweeps")):
+            res = solve(design, penalty, lam, beta, max_sweeps=1)
+        assert not res.converged and res.sweeps_used == 1
 
     def test_degenerate_coordinate_rejected(self):
         # Zero column with an unshifted penalty whose diagonal is zero but
