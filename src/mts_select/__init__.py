@@ -41,16 +41,7 @@ from .info import (
 )
 from .ranker import RankResult, average_scores, rank_features
 from .select import SelectionResult, select_features
-from .solver import (
-    FlatDesign,
-    SolveResult,
-    coordinate_gradient,
-    flatten,
-    objective,
-    prox_l1_nonneg,
-    solve,
-    solve_for_support,
-)
+from .solver import SolveResult, flatten, solve, solve_for_support
 from .spectral import Embedding, power_iteration_embedding
 from .synthetic import generate
 

@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from .distance import cached_distance_matrix
 from .errors import ConsistencyError, InputError
 from .evaluation import accuracy, aggregate, nn1_classify
 from .graph import knn_graph, symmetrize
-from .ranker import clamp_neighbors, rank_features
+from .ranker import clamp_neighbors, map_features, rank_features
 from .select import SUPPORT_EPSILON, select_features
 from .synthetic import generate
 
@@ -204,6 +203,7 @@ def _cmd_select(args) -> int:
         "penalty_kind": result.penalty_kind,
         "sweeps_used": result.solve_result.sweeps_used,
         "final_objective": float(result.solve_result.objective_trace[-1]),
+        "converged": result.solve_result.converged,
     }
     with open(out_dir / "alpha_meta.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -295,12 +295,7 @@ def _cmd_eval(args) -> int:
             return comp
         return dist.values
 
-    feature_ids = [fid for fid, _ in chosen]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            matrices = list(pool.map(build_matrix, feature_ids))
-    else:
-        matrices = [build_matrix(fid) for fid in feature_ids]
+    matrices = map_features(build_matrix, [fid for fid, _ in chosen], args.threads)
     weights = [v for _, v in chosen] if args.weighted else None
     combined = aggregate(matrices, weights)
     y = ds.label_codes()

@@ -23,12 +23,11 @@ import numpy as np
 from .errors import InputError
 
 
-def quantize(values: np.ndarray, num_bins: int, seed: int = 0) -> np.ndarray:
+def quantize(values: np.ndarray, num_bins: int) -> np.ndarray:
     """Bin a real vector with 1-D k-means (Lloyd's algorithm).
 
     Centers start at the (2i+1)/(2*num_bins) midpoint quantiles, which makes
-    the procedure deterministic; the seed parameter is accepted for interface
-    stability but unused. Points equidistant to two centers go to the
+    the procedure deterministic. Points equidistant to two centers go to the
     lower-indexed one, empty clusters keep their previous center, and the
     returned bin ids are relabeled by ascending center value.
     """

@@ -45,6 +45,18 @@ def clamp_neighbors(knn_k: int, n_train: int) -> int:
     return knn_k
 
 
+def map_features(fn, ids, threads: int) -> list:
+    """[fn(i) for i in ids], on a pool of `threads` workers when threads > 1.
+
+    Results come back in the order of ids whatever the thread count, and an
+    exception raised for any id propagates to the caller.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, ids))
+    return [fn(i) for i in ids]
+
+
 def feature_embeddings(
     ds: Dataset,
     knn_k: int,
@@ -80,11 +92,7 @@ def feature_embeddings(
             raise InputError(f"feature {ds.descriptors[feature_id].name!r}: {exc}") from None
         return W, emb
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(build, range(ds.m)))
-    else:
-        results = [build(j) for j in range(ds.m)]
+    results = map_features(build, range(ds.m), threads)
     graphs = [r[0] for r in results]
     embeddings = [r[1] for r in results]
     return graphs, embeddings

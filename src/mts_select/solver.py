@@ -5,6 +5,12 @@ where column j of H is the row-major flattening of feature j's similarity
 graph, h_y flattens the label graph, and P is a (PSD-shifted) redundancy
 penalty. Coordinates are minimized exactly in a fixed cyclic order, which
 guarantees a monotone objective and bitwise-reproducible results.
+
+The coordinate steps run on the Gram form ("covariance updates", Friedman,
+Hastie & Tibshirani 2010): a step needs only G = H^T H (m x m) and
+c = H^T h_y, so no n^2-long residual is kept. Similarity graph entries are
+in {0, 1/2, 1} and label graph entries in {0, 1}, so every entry of G and c
+is a multiple of 1/4 and exact in float64 in any summation order.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from .errors import ConsistencyError, InputError
 class FlatDesign:
     columns: np.ndarray  # (n*n, m), column j = flattened graph j
     target: np.ndarray  # (n*n,), flattened label graph
-    gram_diag: np.ndarray  # (m,), squared column norms
+    gram: np.ndarray  # (m, m), columns^T columns
+    cross: np.ndarray  # (m,), columns^T target
 
 
 @dataclass
@@ -33,7 +40,7 @@ class SolveResult:
 
 
 def flatten(graphs, target: np.ndarray) -> FlatDesign:
-    """Stack row-major flattened graphs as design columns."""
+    """Stack row-major flattened graphs as design columns, with their Gram form."""
     target = np.asarray(target, dtype=np.float64)
     if target.ndim != 2 or target.shape[0] != target.shape[1]:
         raise InputError("target graph must be square")
@@ -47,10 +54,9 @@ def flatten(graphs, target: np.ndarray) -> FlatDesign:
     if not cols:
         raise InputError("need at least one graph")
     columns = np.stack(cols, axis=1)
+    target = target.ravel(order="C")
     return FlatDesign(
-        columns=columns,
-        target=target.ravel(order="C"),
-        gram_diag=np.sum(columns * columns, axis=0),
+        columns=columns, target=target, gram=columns.T @ columns, cross=columns.T @ target
     )
 
 
@@ -76,18 +82,14 @@ def coordinate_gradient(
     design: FlatDesign,
     penalty: np.ndarray,
     beta: float,
-    residual: np.ndarray | None = None,
 ) -> float:
     """Derivative of the smooth part along coordinate k.
 
-    H_k^T H a - H_k^T h_y + 2 * beta * (P a)_k, evaluated as -H_k^T r with the
-    residual r = h_y - H a so one call costs O(n^2). Passing a maintained
-    residual avoids recomputing it.
+    (H^T H a)_k - (H^T h_y)_k + 2 * beta * (P a)_k, read off the Gram form in
+    O(m).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    if residual is None:
-        residual = design.target - design.columns @ alpha
-    return float(-(design.columns[:, k] @ residual) + 2.0 * beta * (penalty[k] @ alpha))
+    return float(design.gram[k] @ alpha - design.cross[k] + 2.0 * beta * (penalty[k] @ alpha))
 
 
 def prox_l1_nonneg(x: float, step_threshold: float) -> float:
@@ -98,11 +100,10 @@ def prox_l1_nonneg(x: float, step_threshold: float) -> float:
 def max_lambda(design: FlatDesign) -> float:
     """Smallest lambda at which coordinate descent from zero stays at zero.
 
-    Computed column by column with the same reduction the solver loop uses,
+    From zero, the first sweep's gradient along k is exactly -(H^T h_y)_k,
     so the shrinkage comparison is float-exact.
     """
-    m = design.columns.shape[1]
-    return max(abs(float(design.columns[:, k] @ design.target)) for k in range(m))
+    return float(np.max(np.abs(design.cross)))
 
 
 def solve(
@@ -116,7 +117,8 @@ def solve(
     """Cyclic exact coordinate minimization from a zero start.
 
     Each coordinate update is a_k <- max(0, z_k a_k - g_k - lambda) / z_k with
-    g_k the smooth gradient and z_k = ||H_k||^2 + 2 beta P_kk its curvature.
+    g_k the smooth gradient (coordinate_gradient) and z_k = G_kk + 2 beta P_kk
+    its curvature.
     A sweep ends the loop when the largest coordinate change is at most
     tol * (1 + ||a||_inf); running out of max_sweeps first returns the last
     iterate with converged=False and a RuntimeWarning. The per-sweep
@@ -131,8 +133,7 @@ def solve(
         raise InputError("lambda and beta must be nonnegative")
 
     alpha = np.zeros(m, dtype=np.float64)
-    residual = design.target.copy()
-    curvature = design.gram_diag + 2.0 * beta * np.diag(penalty)
+    curvature = np.diag(design.gram) + 2.0 * beta * np.diag(penalty)
     trace: list[float] = []
     converged = False
     sweeps = 0
@@ -140,7 +141,7 @@ def solve(
         sweeps = sweep
         max_change = 0.0
         for k in range(m):
-            g = float(-(design.columns[:, k] @ residual) + 2.0 * beta * (penalty[k] @ alpha))
+            g = coordinate_gradient(alpha, k, design, penalty, beta)
             z = float(curvature[k])
             if z == 0.0:
                 if g != 0.0:
@@ -151,17 +152,9 @@ def solve(
             else:
                 new = prox_l1_nonneg(z * alpha[k] - g, lam) / z
             change = new - alpha[k]
-            if change != 0.0:
-                residual -= design.columns[:, k] * change
-                alpha[k] = new
+            alpha[k] = new
             max_change = max(max_change, abs(change))
-        # Refresh the residual so float drift cannot accumulate across sweeps.
-        residual = design.target - design.columns @ alpha
-        obj = float(
-            0.5 * (residual @ residual)
-            + lam * np.sum(np.abs(alpha))
-            + beta * (alpha @ penalty @ alpha)
-        )
+        obj = objective(alpha, design, penalty, lam, beta)
         if trace and obj - trace[-1] > 1e-10 * max(1.0, abs(trace[-1])):
             raise ConsistencyError(
                 f"objective increased from {trace[-1]!r} to {obj!r} at sweep {sweep}"

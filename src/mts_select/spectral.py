@@ -9,6 +9,7 @@ intermediate state as a one-dimensional cluster-structure embedding.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ def power_iteration_embedding(
     generator and L1-normalized; every subsequent iterate is L1-normalized as
     well. The loop stops once max_i |delta_t(i) - delta_{t+1}(i)| <= epsilon,
     where delta_t = |v_t - v_{t-1}|, which needs at least two iterations, or
-    when max_iter is reached (not an error: the last iterate is returned).
+    when max_iter is reached (not an error: the last iterate is returned with
+    a RuntimeWarning).
 
     epsilon defaults to 1e-6 / n.
     """
@@ -48,14 +50,17 @@ def power_iteration_embedding(
     if max_iter <= 0:
         return Embedding(values=v, iterations_used=0)
     delta_prev = None
-    iterations = max_iter
     for t in range(1, max_iter + 1):
         u = N @ v
         v_next = u / np.abs(u).sum()
         delta = np.abs(v_next - v)
         v = v_next
         if delta_prev is not None and float(np.max(np.abs(delta - delta_prev))) <= epsilon:
-            iterations = t
-            break
+            return Embedding(values=v, iterations_used=t)
         delta_prev = delta
-    return Embedding(values=v, iterations_used=iterations)
+    warnings.warn(
+        f"power iteration stopped at max_iter={max_iter} without meeting epsilon={epsilon!r}",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return Embedding(values=v, iterations_used=max_iter)

@@ -97,7 +97,7 @@ class TestSelectCommand:
         assert len(lines) == 5
         meta = json.loads((tmp_path / "s/alpha_meta.json").read_text())
         assert set(meta) == {"lambda", "beta", "gamma", "penalty_kind",
-                             "sweeps_used", "final_objective"}
+                             "sweeps_used", "final_objective", "converged"}
         assert meta["penalty_kind"] == "mi" and meta["beta"] == 1.0
 
     def test_nystrom_flag(self, tmp_path):

@@ -50,7 +50,7 @@ class TestQuantize:
 
     def test_deterministic_and_seed_ignored(self):
         x = np.random.default_rng(0).random(30)
-        np.testing.assert_array_equal(quantize(x, 3, seed=1), quantize(x, 3, seed=99))
+        np.testing.assert_array_equal(quantize(x, 3), quantize(x.copy(), 3))
 
 
 class TestEntropy:

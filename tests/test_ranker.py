@@ -3,7 +3,7 @@ import pytest
 
 from mts_select.dataset import Dataset
 from mts_select.errors import InputError
-from mts_select.ranker import RankResult, average_scores, rank_features
+from mts_select.ranker import RankResult, average_scores, map_features, rank_features
 from mts_select.seeding import child_rng
 
 from conftest import make_dataset
@@ -148,6 +148,23 @@ class TestRankFeatures:
         assert result.scores[0] > result.scores[2]
         assert result.scores[1] > result.scores[2]
         assert set(result.order[:2].tolist()) == {0, 1}
+
+
+class TestMapFeatures:
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_results_in_id_order(self, threads):
+        ids = [4, 0, 7, 2, 9, 1]
+        assert map_features(lambda j: j * j, ids, threads) == [16, 0, 49, 4, 81, 1]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_error_propagates(self, threads):
+        def fn(j):
+            if j == 2:
+                raise InputError(f"feature {j} is broken")
+            return j
+
+        with pytest.raises(InputError, match="feature 2 is broken"):
+            map_features(fn, range(5), threads)
 
 
 class TestAverageScores:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mts_select.errors import ConsistencyError, InputError
+from mts_select.graph import knn_graph, label_graph, symmetrize
 from mts_select.info import RedundancyMatrix, psd_shift
 from mts_select.solver import (
     coordinate_gradient,
@@ -45,13 +46,32 @@ class TestFlatten:
 
     def test_gram_diag(self):
         design = flatten([np.array([[0.0, 1], [1, 0]])], np.zeros((2, 2)))
-        assert design.gram_diag[0] == 2.0
+        assert design.gram[0, 0] == 2.0
 
     def test_frobenius_norm_preserved(self):
         rng = np.random.default_rng(0)
         W = rng.random((5, 5))
         design = flatten([W], np.zeros((5, 5)))
-        assert np.sum(W * W) == design.gram_diag[0]
+        assert np.sum(W * W) == np.sum(design.columns[:, 0] ** 2)
+
+    def test_gram_form_exact_on_knn_graphs(self):
+        # Symmetrized k-NN graphs are in {0, 1/2, 1} and the label graph is
+        # 0/1, so 4 * W and the label graph are integer and the Gram form is
+        # an integer count over 16 (gram) or 4 (cross), whatever the order of
+        # summation.
+        rng = np.random.default_rng(15)
+        for n, m, k in ((5, 1, 1), (12, 4, 3), (30, 7, 5)):
+            graphs = [symmetrize(knn_graph(rng.random((n, n)), k)) for _ in range(m)]
+            target = label_graph(rng.permutation(np.arange(n) % 3))
+            design = flatten(graphs, target)
+            quarters = [[int(4 * x) for x in W.ravel()] for W in graphs]
+            labels = [int(x) for x in target.ravel()]
+            for j in range(m):
+                cross = sum(a * b for a, b in zip(quarters[j], labels))
+                assert design.cross[j] == cross / 4
+                for i in range(m):
+                    gram = sum(a * b for a, b in zip(quarters[i], quarters[j]))
+                    assert design.gram[i, j] == gram / 16
 
     def test_size_mismatch(self):
         with pytest.raises(InputError, match="shape"):
@@ -115,16 +135,6 @@ class TestCoordinateGradient:
                 g = coordinate_gradient(alpha, k, design, penalty, beta)
                 assert g == pytest.approx(fd, abs=1e-6)
 
-    def test_residual_shortcut_matches(self):
-        rng = np.random.default_rng(5)
-        design, penalty, _, beta = random_instance(rng, m=3, n=4)
-        alpha = rng.random(3)
-        residual = design.target - design.columns @ alpha
-        for k in range(3):
-            assert coordinate_gradient(alpha, k, design, penalty, beta) == coordinate_gradient(
-                alpha, k, design, penalty, beta, residual=residual
-            )
-
 
 class TestProx:
     @pytest.mark.parametrize("x,thr,expected", [(0.5, 0.2, 0.3), (-0.5, 0.2, 0.0), (0.1, 0.2, 0.0)])
@@ -177,7 +187,7 @@ class TestSolve:
             res = solve(design, penalty, lam, beta, tol=1e-12)
             residual = design.target - design.columns @ res.alpha
             for k in range(len(res.alpha)):
-                g = coordinate_gradient(res.alpha, k, design, penalty, beta, residual=residual)
+                g = -(design.columns[:, k] @ residual) + 2.0 * beta * (penalty[k] @ res.alpha)
                 scale = 1.0 + abs(g)
                 if res.alpha[k] > 0:
                     assert abs(g + lam) <= 1e-6 * scale

@@ -100,7 +100,8 @@ class TestPowerIterationEmbedding:
 
     def test_non_convergence_returns_last_iterate(self):
         W = planted_graph([8], seed=3)
-        emb = power_iteration_embedding(W, epsilon=0.0, max_iter=7, seed=1)
+        with pytest.warns(RuntimeWarning, match="max_iter=7"):
+            emb = power_iteration_embedding(W, epsilon=0.0, max_iter=7, seed=1)
         assert emb.iterations_used == 7
         assert np.all(np.isfinite(emb.values))
 
