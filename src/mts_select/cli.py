@@ -44,12 +44,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0; got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, with_data: bool = True) -> None:
     if with_data:
         p.add_argument("--data", required=True, help="dataset directory")
         p.add_argument("--train-fraction", type=float, default=1.0,
                        help="stratified training fraction; 1.0 keeps every segment in training")
-        p.add_argument("--dtw-window", type=int, default=None,
+        p.add_argument("--dtw-window", type=_nonnegative_int, default=None,
                        help="warp band half-width for DTW (default: unconstrained)")
         p.add_argument("--znorm", action="store_true",
                        help="z-normalize each series before DTW")

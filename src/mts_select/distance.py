@@ -11,12 +11,21 @@ first series minus a slice of the stacked, reversed second series, so no
 (pairs, len(s), len(t)) grid is ever built. Every cell is
 cost + min(up, left, diag), which makes the result bit-identical regardless of
 evaluation order or batching.
+
+Where a C compiler is available, the same cells are computed by _dtw.c, one
+call per feature, row by row. It is compiled on the first DTW call into the
+package's __pycache__ and used only if it matches the numpy sweep bit for bit
+on a fixed self-check; otherwise, or if it cannot be built or loaded, the
+numpy sweep runs. Both give the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +38,14 @@ from .errors import InputError
 # L2 cache): a batch of p pairs of a-by-b grids holds p * (a + b + 3 * (a + 1))
 # of them (the stacked series and the three diagonal buffers).
 _BATCH_ELEMENTS = 1 << 18
+
+_KERNEL_SOURCE = Path(__file__).with_name("_dtw.c")
+# Where the compiled kernel is cached: next to CPython's own bytecode cache.
+_KERNEL_DIR = Path(__file__).with_name("__pycache__")
+_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_UNLOADED = object()
+_kernel = _UNLOADED  # the compiled kernel, or None for the numpy sweep
+_kernel_lock = threading.Lock()
 
 
 @dataclass
@@ -44,6 +61,11 @@ def _check_sequence(x, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{what}: non-finite value in sequence")
     return arr
+
+
+def _check_window(window: int | None) -> None:
+    if window is not None and window < 0:
+        raise InputError(f"DTW window must be nonnegative; got {window}")
 
 
 def _sweep(a: int, b: int, p: int, cost_diagonal, window: int | None) -> np.ndarray:
@@ -112,8 +134,12 @@ def dtw(s, t, window: int | None = None) -> float:
     window limits the warp band to |i - j| <= max(window, |len(s) - len(t)|);
     None (the default) leaves the path unconstrained.
     """
+    _check_window(window)
     s = _check_sequence(s, "dtw first argument")
     t = _check_sequence(t, "dtw second argument")
+    kernel = _compiled_kernel()
+    if kernel is not None:
+        return float(kernel([s, t], window)[0, 1])
     return float(_dtw_stacked(s[:, None], t[:, None], window)[0])
 
 
@@ -138,7 +164,8 @@ def znormalize(x: np.ndarray) -> np.ndarray:
     return (x - x.mean()) / sd
 
 
-def _timeseries_matrix(series: list[np.ndarray], window: int | None) -> np.ndarray:
+def _numpy_matrix(series: list[np.ndarray], window: int | None) -> np.ndarray:
+    """Upper triangle of the DTW matrix from the numpy sweep, pairs batched by shape."""
     n = len(series)
     out = np.zeros((n, n), dtype=np.float64)
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -156,6 +183,109 @@ def _timeseries_matrix(series: list[np.ndarray], window: int | None) -> np.ndarr
     return out
 
 
+def _compiled_matrix(dtw_pairs, series: list[np.ndarray], window: int | None) -> np.ndarray:
+    """Upper triangle of the DTW matrix from one call into _dtw.c's dtw_pairs."""
+    n = len(series)
+    lengths = np.array([x.size for x in series], dtype=np.int64)
+    offsets = np.zeros(n, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    values = np.concatenate([np.empty(0), *series])
+    first, second = (np.ascontiguousarray(ix, dtype=np.int64) for ix in np.triu_indices(n, 1))
+    out = np.empty(first.size)
+    rows = np.empty(2 * (int(lengths.max(initial=0)) + 1))
+    # No pair's |i - j| reaches the total length, so it stands for "unconstrained".
+    total = int(values.size)
+    band = total if window is None else min(int(window), total)
+    dtw_pairs(values.ctypes.data, offsets.ctypes.data, lengths.ctypes.data,
+              first.ctypes.data, second.ctypes.data, first.size, band,
+              out.ctypes.data, rows.ctypes.data)
+    upper = np.zeros((n, n))
+    upper[first, second] = out
+    return upper
+
+
+def _self_check(kernel) -> bool:
+    """Whether kernel matches the numpy sweep bit for bit on a fixed case with
+    unequal lengths, windows narrower than those differences and length-1 series."""
+    series = [np.cos(np.arange(L) * 2.3 + L) * L for L in (1, 4, 7, 2, 1, 5, 3)]
+    return all(
+        kernel(series, window).tobytes() == _numpy_matrix(series, window).tobytes()
+        for window in (None, 0, 2)
+    )
+
+
+def _kernel_path(directory: Path) -> Path:
+    """The kernel's file name hashes its source, the compile command and the
+    interpreter/platform tag, so a stale or foreign build is never picked up."""
+    import sysconfig
+
+    key = b"\0".join([
+        _KERNEL_SOURCE.read_bytes(),
+        " ".join(_COMPILE).encode(),
+        str(sysconfig.get_config_var("EXT_SUFFIX")).encode(),
+    ])
+    return directory / f"_dtw-{hashlib.sha256(key).hexdigest()[:16]}.so"
+
+
+def _build(path: Path) -> None:
+    """Compile _dtw.c to a temp file unique to this call, then rename it into place."""
+    import subprocess
+
+    path.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run([*_COMPILE, "-o", tmp, str(_KERNEL_SOURCE)],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):  # a failed link may remove it
+            os.unlink(tmp)
+        raise
+
+
+def _load_kernel(directory: Path):
+    """The compiled kernel built or found in directory, or None if it cannot be
+    built or loaded or fails the self-check."""
+    import ctypes
+    import subprocess
+
+    try:
+        path = _kernel_path(directory)
+        if not path.is_file():
+            _build(path)
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:  # not a loadable library: rebuild it once
+            _build(path)
+            library = ctypes.CDLL(str(path))
+        dtw_pairs = library.dtw_pairs
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    dtw_pairs.restype = None
+    dtw_pairs.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2
+
+    def kernel(series, window):
+        return _compiled_matrix(dtw_pairs, series, window)
+
+    return kernel if _self_check(kernel) else None
+
+
+def _compiled_kernel():
+    """The compiled kernel, loaded on the first call in this process, or None
+    where the numpy sweep must run."""
+    global _kernel
+    with _kernel_lock:
+        if _kernel is _UNLOADED:
+            _kernel = _load_kernel(_KERNEL_DIR)
+        return _kernel
+
+
+def _timeseries_matrix(series: list[np.ndarray], window: int | None) -> np.ndarray:
+    kernel = _compiled_kernel()
+    return _numpy_matrix(series, window) if kernel is None else kernel(series, window)
+
+
 def distance_matrix(
     ds: Dataset,
     feature_id: int,
@@ -167,6 +297,7 @@ def distance_matrix(
     Only the upper triangle is computed; the lower triangle mirrors it exactly,
     so the matrix is bitwise symmetric with a zero diagonal.
     """
+    _check_window(window)
     if not 0 <= feature_id < ds.m:
         raise InputError(f"feature id {feature_id} out of range [0, {ds.m})")
     desc = ds.descriptors[feature_id]
@@ -194,10 +325,18 @@ def distance_matrix(
 
 def cache_signature(ds: Dataset, window: int | None, znorm: bool) -> str:
     """Directory key combining dataset content and metric parameters."""
-    import hashlib
-
     text = f"{fingerprint(ds)}|window={window}|znorm={znorm}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+
+
+def _format_matrix(values: np.ndarray) -> str:
+    """values as CSV rows of repr(float) tokens, each distinct bit pattern
+    formatted once: a distance matrix holds each value twice, mirrored."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    tokens = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    table = tokens[inverse].reshape(values.shape).tolist()
+    return "".join(",".join(row) + "\n" for row in table)
 
 
 def _write_matrix(path: Path, values: np.ndarray) -> None:
@@ -206,9 +345,7 @@ def _write_matrix(path: Path, values: np.ndarray) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for row in values:
-                fh.write(",".join(repr(float(x)) for x in row))
-                fh.write("\n")
+            fh.write(_format_matrix(values))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -251,6 +388,7 @@ def cached_distance_matrix(
     reads reject a file that is not a finite, nonnegative, bitwise-symmetric
     matrix with a zero diagonal.
     """
+    _check_window(window)
     if cache_dir is None:
         return distance_matrix(ds, feature_id, window=window, znorm=znorm)
     sig_dir = Path(cache_dir) / cache_signature(ds, window, znorm)

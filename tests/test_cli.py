@@ -226,6 +226,14 @@ class TestErrorPaths:
         assert code == 1
         assert "at least 1" in capsys.readouterr().err
 
+    def test_negative_dtw_window_rejected(self, tmp_path, capsys):
+        run(*gen_args(tmp_path / "d"))
+        code = run("rank", "--data", str(tmp_path / "d"), "--dtw-window", "-3",
+                   "--out", str(tmp_path / "r"))
+        assert code == 1
+        assert "at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_train_fraction_rejected(self, tmp_path, capsys):
         run(*gen_args(tmp_path / "d"))
         code = run("rank", "--data", str(tmp_path / "d"), "--train-fraction", "1.5",

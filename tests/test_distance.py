@@ -1,6 +1,9 @@
 import itertools
+import shutil
 import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 
 from mts_select import distance as distance_mod
 from mts_select.distance import (
+    _format_matrix,
+    _numpy_matrix,
     _read_matrix,
     _write_matrix,
     cached_distance_matrix,
@@ -21,7 +26,7 @@ from mts_select.distance import (
 from mts_select.errors import InputError
 
 from conftest import make_dataset
-from oracles import dtw_brute
+from oracles import PathTable, dtw_brute
 
 
 finite_series = st.lists(
@@ -44,6 +49,20 @@ def row_dp(s, t, window=None):
             cost = abs(s[i - 1] - t[j - 1])
             table[i][j] = cost + min(table[i - 1][j], table[i][j - 1], table[i - 1][j - 1])
     return table[len(s)][len(t)]
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """Force the numpy sweep through the loader seam."""
+    monkeypatch.setattr(distance_mod, "_compiled_kernel", lambda: None)
+
+
+@pytest.fixture(scope="module")
+def compiled_kernel():
+    kernel = distance_mod._compiled_kernel()
+    if kernel is None:
+        pytest.skip("the compiled DTW kernel did not build, load or pass its self-check")
+    return kernel
 
 
 def series_dataset(cols):
@@ -122,14 +141,24 @@ class TestDtw:
         t = [0.0, 1.0, 4.0, 8.0]
         assert dtw(s, t, window=0) == sum(abs(a - b) for a, b in zip(s, t))
 
+    def test_negative_window_rejected(self, tmp_path):
+        ds = series_dataset([[1.0, 5.0, 2.0], [2.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(InputError, match="window must be nonnegative"):
+            dtw([1.0, 2.0], [1.0], window=-1)
+        with pytest.raises(InputError, match="window must be nonnegative"):
+            distance_matrix(ds, 0, window=-3)
+        with pytest.raises(InputError, match="window must be nonnegative"):
+            cached_distance_matrix(ds, 0, tmp_path / "cache", window=-3)
+        assert not (tmp_path / "cache").exists()
+
     def test_wide_window_matches_unconstrained(self):
         s = [1.0, 3.0, 4.0, 0.5]
         t = [1.0, 4.0]
         assert dtw(s, t, window=10) == dtw(s, t)
 
 
-class TestKernel:
-    """The batched, streamed anti-diagonal sweep against independent references."""
+class KernelCases:
+    """A DTW kernel against independent references; each subclass picks the kernel."""
 
     def test_lengths_vary_within_feature(self):
         rng = np.random.default_rng(8)
@@ -162,6 +191,14 @@ class TestKernel:
         cols = [rng.normal(size=L).tolist() for L in (12, 20, 16, 12, 19, 20)]
         assert_matrix_matches_references(cols, window, row_dp)
 
+
+class TestKernel(KernelCases):
+    """The batched, streamed numpy anti-diagonal sweep."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, numpy_kernel):
+        pass
+
     @pytest.mark.parametrize("window", [None, 1])
     def test_pairs_span_several_batches(self, monkeypatch, window):
         rng = np.random.default_rng(23)
@@ -181,6 +218,139 @@ class TestKernel:
         split = distance_matrix(series_dataset(cols), 0, window=window).values
         assert sum(batches) == 66 and max(batches) == 2
         assert split.tobytes() == whole.tobytes()
+
+
+class TestCompiledKernel(KernelCases):
+    """The compiled row-by-row kernel (_dtw.c); skipped where it did not load."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def kernel(self, compiled_kernel):
+        pass
+
+    def test_matches_path_enumeration_on_ternary_series(self, compiled_kernel):
+        # Criterion 1's data: every series over {0, 1, 2} of length 1..5, every
+        # ordered pair, against dtw_brute's enumeration in vectorized form.
+        # The costs are small integers, so every sum is exact in any order.
+        seqs = {L: np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=L))) for L in range(1, 6)}
+        series = [s for S in seqs.values() for s in S]
+        upper = compiled_kernel(series, None)
+        # Lower triangle from the reversed list, so each (i, j) is dtw(series[i], series[j]).
+        full = upper + compiled_kernel(series[::-1], None)[::-1, ::-1]
+        start = dict(zip(seqs, np.cumsum([0] + [len(S) for S in seqs.values()])))
+        for a, S in seqs.items():
+            for b, T in seqs.items():
+                table = PathTable(a, b)
+                for k, s in enumerate(S):
+                    costs = np.abs(s[None, :, None] - T[:, None, :]).reshape(len(T), a * b)
+                    flat = np.concatenate([costs, np.zeros((len(T), 1))], axis=1)
+                    oracle = flat[:, table.idx].sum(axis=2).min(axis=1)
+                    got = full[start[a] + k, start[b] : start[b] + len(T)]
+                    assert np.array_equal(got, oracle), (a, b, k)
+
+    @given(
+        st.lists(
+            st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=20),
+            min_size=2,
+            max_size=8,
+        ),
+        st.one_of(st.none(), st.integers(0, 5)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_numpy_kernel(self, compiled_kernel, cols, window):
+        series = [np.array(c) for c in cols]
+        expected = _numpy_matrix(series, window)
+        assert compiled_kernel(series, window).tobytes() == expected.tobytes()
+
+
+class TestKernelLoader:
+    """Every way the compiled kernel can fail to load leaves the numpy sweep's bits."""
+
+    COLS = [[0.5, 2.0, 1.0], [1.0], [3.0, 0.0, 2.5, 1.5], [2.0, 2.0], [0.0, 1.0, 4.0]]
+
+    @pytest.fixture
+    def kernel_dir(self, monkeypatch, tmp_path):
+        """A loader that has not run yet in this process, caching into tmp_path."""
+        monkeypatch.setattr(distance_mod, "_kernel", distance_mod._UNLOADED)
+        monkeypatch.setattr(distance_mod, "_KERNEL_DIR", tmp_path / "__pycache__")
+        return tmp_path / "__pycache__"
+
+    def numpy_bits(self, window=None):
+        return _numpy_matrix([np.array(c) for c in self.COLS], window).tobytes()
+
+    def matrix_bits_quietly(self, window=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            upper = distance_matrix(series_dataset(self.COLS), 0, window=window).values
+        return np.triu(upper).tobytes()
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_kernel_loads_where_a_compiler_exists(self):
+        # Otherwise a kernel that fails its self-check would only skip the tests above.
+        assert distance_mod._compiled_kernel() is not None
+
+    def test_no_compiler_on_path(self, kernel_dir, monkeypatch, tmp_path):
+        monkeypatch.setenv("PATH", str(tmp_path / "no-such-bin"))
+        for window in (None, 0):
+            assert self.matrix_bits_quietly(window) == self.numpy_bits(window)
+        assert distance_mod._kernel is None
+
+    def test_unwritable_cache_directory(self, kernel_dir, monkeypatch, tmp_path):
+        # A directory below a regular file cannot be created, even by root.
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(distance_mod, "_KERNEL_DIR", tmp_path / "file" / "__pycache__")
+        assert self.matrix_bits_quietly() == self.numpy_bits()
+        assert distance_mod._kernel is None
+
+    def test_concurrent_first_calls_build_once(self, compiled_kernel, kernel_dir, monkeypatch):
+        builds = []
+        build = distance_mod._build
+
+        def slow_build(path):
+            builds.append(path)
+            time.sleep(0.2)  # the other thread's first call arrives meanwhile
+            build(path)
+
+        monkeypatch.setattr(distance_mod, "_build", slow_build)
+        barrier = threading.Barrier(4)
+        results = []
+
+        def first_call():
+            barrier.wait()
+            results.append(distance_matrix(series_dataset(self.COLS), 0).values)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_call) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1 and len(results) == 4
+        assert all(np.triu(M).tobytes() == self.numpy_bits() for M in results)
+        assert distance_mod._kernel is not None
+
+    def test_garbage_library_is_rebuilt(self, compiled_kernel, kernel_dir):
+        path = distance_mod._kernel_path(kernel_dir)
+        kernel_dir.mkdir()
+        path.write_bytes(b"not a shared library")
+        assert self.matrix_bits_quietly() == self.numpy_bits()
+        assert distance_mod._kernel is not None
+        assert path.read_bytes() != b"not a shared library"
+
+    def test_self_check_mismatch_falls_back(self, kernel_dir, monkeypatch):
+        compiled_matrix = distance_mod._compiled_matrix
+
+        def one_ulp_off(*args):
+            upper = compiled_matrix(*args)
+            return np.triu(np.nextafter(upper, np.inf), 1)
+
+        monkeypatch.setattr(distance_mod, "_compiled_matrix", one_ulp_off)
+        assert self.matrix_bits_quietly() == self.numpy_bits()
+        assert distance_mod._kernel is None
 
 
 class TestScalarAndCategorical:
@@ -217,15 +387,23 @@ class TestDistanceMatrix:
         np.testing.assert_array_equal(M, M.T)
         np.testing.assert_array_equal(np.diag(M), 0.0)
 
-    def test_matrix_matches_pairwise_dtw_bitwise(self):
+    def test_matrix_matches_pairwise_dtw_bitwise(self, monkeypatch):
         rng = np.random.default_rng(5)
         cols = [rng.normal(size=rng.integers(3, 9)).tolist() for _ in range(7)]
         ds = make_dataset([("ts", "timeseries", cols)], ["a", "b", "a", "b", "a", "b", "a"])
-        M = distance_matrix(ds, 0).values
-        for i in range(7):
-            for j in range(7):
-                if i != j:
-                    assert M[i, j] == dtw(cols[i], cols[j])
+        # On the kernel that loaded (compiled where it builds), then on numpy.
+        matrices = []
+        for force_numpy in (False, True):
+            with monkeypatch.context() as patch:
+                if force_numpy:
+                    patch.setattr(distance_mod, "_compiled_kernel", lambda: None)
+                M = distance_matrix(ds, 0).values
+                for i in range(7):
+                    for j in range(7):
+                        if i != j:
+                            assert M[i, j] == dtw(cols[i], cols[j])
+                matrices.append(M.tobytes())
+        assert matrices[0] == matrices[1]
 
     def test_categorical_matrix(self):
         ds = make_dataset([("c", "categorical", ["x", "y", "x"])], ["a", "b", "a"])
@@ -297,17 +475,19 @@ class TestCache:
         M = cached_distance_matrix(scalar_dataset, 0, None)
         np.testing.assert_array_equal(M.values, [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
-    def test_interleaved_writers_do_not_mix(self, tmp_path):
+    def test_interleaved_writers_do_not_mix(self, tmp_path, monkeypatch):
         path = tmp_path / "M_0.csv"
         first = np.array([[0.0, 1.5], [1.5, 0.0]])
         second = np.array([[0.0, 2.25], [2.25, 0.0]])
+        format_matrix = distance_mod._format_matrix
 
-        def rows_with_a_rival_write():
-            yield first[0]
-            _write_matrix(path, second)  # another process finishes its write meanwhile
-            yield first[1]
+        def format_with_a_rival_write(values):
+            if values is first:  # our temp file is open
+                _write_matrix(path, second)  # another process finishes its write meanwhile
+            return format_matrix(values)
 
-        _write_matrix(path, rows_with_a_rival_write())
+        monkeypatch.setattr(distance_mod, "_format_matrix", format_with_a_rival_write)
+        _write_matrix(path, first)
         assert _read_matrix(path, 2).tobytes() == first.tobytes()
         assert [p.name for p in tmp_path.iterdir()] == ["M_0.csv"]
 
@@ -341,6 +521,24 @@ class TestCache:
         final = _read_matrix(path, 40).tobytes()
         assert any(final == M.tobytes() for M in matrices)
         assert [p.name for p in tmp_path.iterdir()] == ["M_0.csv"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_writer_bytes_equal_per_element_repr(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        pool = np.array([0.0, 5e-324, 1e300, 1.0, 2.0, 7.0, 0.1, 1 / 3, 2.5e-8, 123456789.0])
+        upper = np.triu(rng.choice(pool, size=(n, n)) * rng.choice([1.0, 3.0], size=(n, n)), 1)
+        cases = [upper + upper.T]
+        # Not a distance matrix: asymmetric, a nonzero diagonal and -0.0 next to 0.0.
+        odd = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
+        odd[rng.random((n, n)) < 0.3] = -0.0
+        cases.append(odd)
+        for values in cases:
+            path = tmp_path / "M_0.csv"
+            _write_matrix(path, values)
+            old = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in values)
+            assert path.read_bytes() == old.encode("utf-8")
+            assert _format_matrix(values) == old
 
     @pytest.mark.parametrize(
         "corrupt,message",
