@@ -122,10 +122,19 @@ def _resolve_cache(args, out_dir: Path) -> Path:
     return out_dir / "cache"
 
 
-def _write_run_config(path: Path, config: dict) -> None:
+def _write_run_config(path: Path, args, cache: Path | None = None) -> None:
+    """run.json: every parsed argument ("lam" as "lambda") and the resolved
+    cache directory; --dump-redundancy is not echoed."""
+    config = {"lambda" if k == "lam" else k: v for k, v in vars(args).items() if k != "dump_redundancy"}
+    if cache is not None:
+        config["cache_dir"] = str(cache)
     path.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(path, config)
+
+
+def _write_json(path: Path, obj: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -150,18 +159,7 @@ def _cmd_rank(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = _resolve_cache(args, out_dir)
-    _write_run_config(out_dir / "run.json", {
-        "command": "rank",
-        "data": args.data,
-        "knn": args.knn,
-        "train_fraction": args.train_fraction,
-        "dtw_window": args.dtw_window,
-        "znorm": args.znorm,
-        "seed": args.seed,
-        "threads": args.threads,
-        "cache_dir": str(cache),
-        "out": args.out,
-    })
+    _write_run_config(out_dir / "run.json", args, cache)
     ds = _load_split(args)
     result = rank_features(
         ds, args.knn, seed=args.seed, cache_dir=cache,
@@ -175,23 +173,7 @@ def _cmd_select(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = _resolve_cache(args, out_dir)
-    _write_run_config(out_dir / "run.json", {
-        "command": "select",
-        "data": args.data,
-        "knn": args.knn,
-        "lambda": args.lam,
-        "target_size": args.target_size,
-        "beta": args.beta,
-        "penalty": args.penalty,
-        "nystrom": args.nystrom,
-        "train_fraction": args.train_fraction,
-        "dtw_window": args.dtw_window,
-        "znorm": args.znorm,
-        "seed": args.seed,
-        "threads": args.threads,
-        "cache_dir": str(cache),
-        "out": args.out,
-    })
+    _write_run_config(out_dir / "run.json", args, cache)
     ds = _load_split(args)
     result = select_features(
         ds, args.knn, lam=args.lam, target_size=args.target_size, beta=args.beta,
@@ -212,9 +194,7 @@ def _cmd_select(args) -> int:
         "final_objective": float(result.solve_result.objective_trace[-1]),
         "converged": result.solve_result.converged,
     }
-    with open(out_dir / "alpha_meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "alpha_meta.json", meta)
     if args.dump_redundancy:
         with open(out_dir / "redundancy.csv", "w", encoding="utf-8", newline="\n") as fh:
             for row in result.penalty.values:
@@ -267,22 +247,7 @@ def _cmd_eval(args) -> int:
     out_dir = out_path.parent if out_path.parent != Path("") else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = _resolve_cache(args, out_dir)
-    _write_run_config(out_dir / "run.json", {
-        "command": "eval",
-        "data": args.data,
-        "subset": args.subset,
-        "top": args.top,
-        "weighted": args.weighted,
-        "aggregate": args.aggregate,
-        "knn": args.knn,
-        "train_fraction": args.train_fraction,
-        "dtw_window": args.dtw_window,
-        "znorm": args.znorm,
-        "seed": args.seed,
-        "threads": args.threads,
-        "cache_dir": str(cache),
-        "out": args.out,
-    })
+    _write_run_config(out_dir / "run.json", args, cache)
     ds = _load_split(args)
     if not ds.test_ids:
         raise InputError("evaluation needs a test split; pass --train-fraction below 1.0")
@@ -314,9 +279,7 @@ def _cmd_eval(args) -> int:
         "selected_ids": [fid for fid, _ in chosen],
         "weighted": bool(args.weighted),
     }
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_path, results)
     return 0
 
 
@@ -327,17 +290,7 @@ def _cmd_gen(args) -> int:
         noise=args.noise, seed=args.seed, duplicates=tuple(args.duplicate),
     )
     write_dataset(ds, out_dir)
-    _write_run_config(out_dir / "run.json", {
-        "command": "gen-synthetic",
-        "n": args.n,
-        "classes": args.classes,
-        "informative": args.informative,
-        "noise": args.noise,
-        "duplicate": list(args.duplicate),
-        "seed": args.seed,
-        "threads": args.threads,
-        "out": args.out,
-    })
+    _write_run_config(out_dir / "run.json", args)
     return 0
 
 

@@ -7,19 +7,29 @@ A dataset directory looks like::
     values/<name>.csv    timeseries: header "segment_id,t,value"
                          scalar/categorical: header "segment_id,value"
 
-All files are UTF-8 with LF newlines and "." as the decimal separator.
-Segments may have different series lengths per feature and across features;
-missing values are a hard error (cleaning is out of scope).
+All files are UTF-8 with LF newlines and "." as the decimal separator. Rows
+may come in any order and blank lines are skipped. Segments may have
+different series lengths per feature and across features; missing values are
+a hard error (cleaning is out of scope).
+
+A Dataset is immutable. Construction copies each feature into one read-only
+column: a time-series feature's series concatenated (with offsets and
+lengths), a scalar feature's float64 array, a categorical feature's tuple of
+tokens. Each segment's series is a read-only view into its column.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
+import io
 import json
 import math
+import numbers
 import re
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -30,6 +40,9 @@ from .errors import InputError
 from .seeding import child_rng
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+# One row of a numeric values file; the fields before "value" are its key.
+_SERIES_ROW = np.dtype([("segment_id", "<i8"), ("t", "<i8"), ("value", "<f8")])
+_SCALAR_ROW = np.dtype([("segment_id", "<i8"), ("value", "<f8")])
 
 
 class FeatureKind(str, Enum):
@@ -45,12 +58,13 @@ class FeatureDescriptor:
     kind: FeatureKind
 
 
-@dataclass
+@dataclass(frozen=True)
 class Segment:
     """One labeled sample: a value per feature descriptor plus a class token.
 
-    values[j] is a float64 array for timeseries features, a float for scalar
-    features, and a str token for categorical features.
+    values[j] is a float64 array for timeseries features (in a Dataset, a
+    read-only view into its column), a float for scalar features, and a str
+    token for categorical features.
     """
 
     id: int
@@ -58,13 +72,99 @@ class Segment:
     label: str
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
+class SeriesColumn:
+    """One time-series feature: segment i's series is
+    values[offsets[i] : offsets[i] + lengths[i]]. All three arrays are read-only."""
+
+    values: np.ndarray  # <f8
+    offsets: np.ndarray  # <i8
+    lengths: np.ndarray  # <i8
+
+    @classmethod
+    def concat(cls, series) -> "SeriesColumn":
+        """A column holding a copy of each series, in order."""
+        lengths = np.array([len(x) for x in series], dtype="<i8")
+        offsets = np.cumsum(lengths) - lengths
+        values = np.concatenate([np.empty(0, "<f8"), *series]).astype("<f8", copy=False)
+        for a in (values, offsets, lengths):
+            a.flags.writeable = False
+        return cls(values, offsets, lengths)
+
+    def series(self) -> list[np.ndarray]:
+        """Each segment's series, as a read-only view into values."""
+        return [self.values[o : o + k] for o, k in zip(self.offsets.tolist(), self.lengths.tolist())]
+
+
+# What every segment's value of a feature must be, by kind (series are
+# checked after np.asarray).
+_VALUE_RULES = {
+    FeatureKind.TIMESERIES: ("a nonempty 1-d real array",
+                             lambda v: v.ndim == 1 and v.size > 0 and v.dtype.kind in "biuf"),
+    FeatureKind.SCALAR: ("a real number", lambda v: isinstance(v, numbers.Real)),
+    FeatureKind.CATEGORICAL: ("a str token", lambda v: isinstance(v, str)),
+}
+
+
+def _column(d: FeatureDescriptor, values: list):
+    """The read-only column of one feature, from its value in every segment."""
+    if not isinstance(d.kind, FeatureKind):
+        raise InputError(f"unknown feature kind {d.kind!r} for feature {d.name!r}")
+    rule, valid = _VALUE_RULES[d.kind]
+    if d.kind is FeatureKind.TIMESERIES:
+        values = [np.asarray(v) for v in values]
+    bad = next((i for i, v in enumerate(values) if not valid(v)), None)
+    if bad is not None:
+        raise InputError(f"segment {bad} feature {d.name!r}: {d.kind.value} must be {rule}")
+    if d.kind is FeatureKind.TIMESERIES:
+        return SeriesColumn.concat(values)
+    if d.kind is FeatureKind.SCALAR:
+        column = np.array(values, dtype="<f8")
+        column.flags.writeable = False
+        return column
+    return tuple(values)
+
+
+def _same_column(a, b) -> bool:
+    if isinstance(a, SeriesColumn):
+        return np.array_equal(a.lengths, b.lengths) and np.array_equal(a.values, b.values)
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Features, segments, classes and a train/test split; immutable.
+
+    columns[j] holds feature j of every segment (see the module docstring).
+    The content digest (fingerprint) is computed once and shared with every
+    with_split() copy.
+    """
+
     descriptors: tuple[FeatureDescriptor, ...]
     segments: tuple[Segment, ...]
     classes: tuple[str, ...]
     train_ids: tuple[int, ...]
     test_ids: tuple[int, ...]
+    columns: tuple = field(init=False, repr=False)
+    _digest: list = field(init=False, repr=False, default_factory=list)
+
+    def __post_init__(self):
+        m = len(self.descriptors)
+        for i, seg in enumerate(self.segments):
+            if len(seg.values) != m:
+                raise InputError(f"segment {i} has {len(seg.values)} values, expected {m}")
+        columns = tuple(
+            _column(d, [seg.values[j] for seg in self.segments])
+            for j, d in enumerate(self.descriptors)
+        )
+        entries = [
+            c.series() if isinstance(c, SeriesColumn) else c.tolist() if isinstance(c, np.ndarray) else c
+            for c in columns
+        ]
+        rows = zip(*entries) if entries else [()] * len(self.segments)
+        segments = tuple(Segment(s.id, values, s.label) for s, values in zip(self.segments, rows))
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "segments", segments)
 
     @property
     def n(self) -> int:
@@ -79,33 +179,35 @@ class Dataset:
         index = {c: i for i, c in enumerate(self.classes)}
         return np.array([index[s.label] for s in self.segments], dtype=np.intp)
 
+    def first_nonfinite(self, feature_id: int) -> int | None:
+        """Position of the first segment whose value of the feature is not
+        finite (series: any element), or None; None for categorical features."""
+        column = self.columns[feature_id]
+        if isinstance(column, tuple):
+            return None
+        series = isinstance(column, SeriesColumn)
+        bad = np.flatnonzero(~np.isfinite(column.values if series else column))
+        if not bad.size:
+            return None
+        return int(np.searchsorted(column.offsets, bad[0], side="right") - 1 if series else bad[0])
+
     def with_split(self, train_ids: Sequence[int], test_ids: Sequence[int]) -> "Dataset":
-        ds = replace(self, train_ids=tuple(train_ids), test_ids=tuple(test_ids))
+        """The same content under another split, sharing columns and digest."""
+        ds = copy.copy(self)
+        object.__setattr__(ds, "train_ids", tuple(train_ids))
+        object.__setattr__(ds, "test_ids", tuple(test_ids))
         _check_split(ds)
         return ds
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        if (self.descriptors, self.classes, self.train_ids, self.test_ids) != (
-            other.descriptors,
-            other.classes,
-            other.train_ids,
-            other.test_ids,
-        ):
-            return False
-        if len(self.segments) != len(other.segments):
-            return False
-        for a, b in zip(self.segments, other.segments):
-            if a.id != b.id or a.label != b.label:
-                return False
-            for va, vb in zip(a.values, b.values):
-                if isinstance(va, np.ndarray):
-                    if not isinstance(vb, np.ndarray) or not np.array_equal(va, vb):
-                        return False
-                elif va != vb:
-                    return False
-        return True
+        return (
+            (self.descriptors, self.classes, self.train_ids, self.test_ids)
+            == (other.descriptors, other.classes, other.train_ids, other.test_ids)
+            and [(s.id, s.label) for s in self.segments] == [(s.id, s.label) for s in other.segments]
+            and all(map(_same_column, self.columns, other.columns))
+        )
 
 
 def _check_split(ds: Dataset) -> None:
@@ -117,7 +219,7 @@ def _check_split(ds: Dataset) -> None:
 
 
 def validate_dataset(ds: Dataset) -> Dataset:
-    """Check every structural invariant; raise InputError on the first violation."""
+    """Check every invariant the constructor does not; raise InputError on the first violation."""
     if ds.m < 1:
         raise InputError("dataset needs at least one feature")
     if ds.n < 2:
@@ -127,8 +229,6 @@ def validate_dataset(ds: Dataset) -> Dataset:
             raise InputError(f"feature ids must be contiguous from 0; got {d.id} at position {j}")
         if not _NAME_RE.match(d.name):
             raise InputError(f"invalid feature name {d.name!r}")
-        if not isinstance(d.kind, FeatureKind):
-            raise InputError(f"unknown feature kind {d.kind!r} for feature {d.name!r}")
     names = [d.name for d in ds.descriptors]
     if len(set(names)) != len(names):
         raise InputError("feature names must be unique")
@@ -140,23 +240,10 @@ def validate_dataset(ds: Dataset) -> Dataset:
             raise InputError(f"segment ids must be contiguous from 0; got {seg.id} at position {i}")
         if seg.label not in class_set:
             raise InputError(f"segment {i} has label {seg.label!r} not in class list")
-        if len(seg.values) != ds.m:
-            raise InputError(f"segment {i} has {len(seg.values)} values, expected {ds.m}")
-        for d in ds.descriptors:
-            v = seg.values[d.id]
-            if d.kind is FeatureKind.TIMESERIES:
-                if not isinstance(v, np.ndarray) or v.ndim != 1 or len(v) < 1:
-                    raise InputError(
-                        f"segment {i} feature {d.name!r}: timeseries must be a nonempty 1-d array"
-                    )
-                if not np.all(np.isfinite(v)):
-                    raise InputError(f"segment {i} feature {d.name!r}: non-finite value")
-            elif d.kind is FeatureKind.SCALAR:
-                if not isinstance(v, float) or not math.isfinite(v):
-                    raise InputError(f"segment {i} feature {d.name!r}: scalar must be finite")
-            else:
-                if not isinstance(v, str):
-                    raise InputError(f"segment {i} feature {d.name!r}: categorical must be a token")
+    for d in ds.descriptors:
+        bad = ds.first_nonfinite(d.id)
+        if bad is not None:
+            raise InputError(f"segment {bad} feature {d.name!r}: non-finite value")
     _check_split(ds)
     return ds
 
@@ -180,14 +267,91 @@ def _parse_int(token: str, path: Path, row: int) -> int:
         raise InputError(f"{path} row {row}: unparsable integer {token!r}") from None
 
 
-def _parse_real(token: str, path: Path, row: int) -> float:
+def _parse_rows(text: str, row_type: np.dtype) -> np.ndarray:
+    """Comma-separated rows parsed by numpy's number parser, each line on its
+    own (no quoting); blank lines are skipped."""
+    if not text.strip("\n"):
+        return np.empty(0, row_type)
+    return np.loadtxt(io.StringIO(text), delimiter=",", dtype=row_type, comments=None, ndmin=1)
+
+
+def _data_lines(body: str) -> list[str]:
+    return [line for line in body.split("\n") if line]
+
+
+def _unparsable(lines: list[str], row_type: np.dtype) -> tuple[int, str]:
+    """The first of lines that does not parse as a row_type (one must not), and why."""
+    lo, hi = 0, len(lines)  # lines[:lo] parse, lines[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows("\n".join(lines[lo:mid]), row_type)
+            lo = mid
+        except ValueError:
+            hi = mid
+    tokens = lines[lo].split(",")
+    if len(tokens) != len(row_type.names):
+        return lo, f"expected {len(row_type.names)} fields"
+    for token, name in zip(tokens, row_type.names):
+        try:
+            if _parse_rows(token, row_type[name]).size == 1:
+                continue
+        except ValueError:
+            pass
+        return lo, f"unparsable {'value' if name == 'value' else 'integer'} {token!r}"
+    return lo, f"unparsable row {lines[lo]!r}"
+
+
+def _load_values(path: Path, name: str, row_type: np.dtype, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A numeric values file's values in (segment_id, t) order, and each segment's count.
+
+    Rejects, naming the file and the first offending row (1-based, counting
+    the header but not blank lines), a row with the wrong number of fields,
+    an unparsable number, an unknown segment id, a key (segment_id, and t for
+    series) seen on an earlier row or a non-finite value; then a segment
+    without rows, and a series whose t is not 0..len-1.
+    """
+    keys = list(row_type.names[:-1])
+    text = path.read_text(encoding="utf-8")
+    if not text:
+        raise InputError(f"{path}: file is empty")
+    header, _, body = text.partition("\n")
+    if next(csv.reader([header]), None) != list(row_type.names):
+        raise InputError(f"{path}: expected header {','.join(row_type.names)!r}")
+    found = []  # (row index, message) of each kind of row error that occurs
     try:
-        value = float(token)
+        rows = _parse_rows(body, row_type)
     except ValueError:
-        raise InputError(f"{path} row {row}: unparsable value {token!r}") from None
-    if not math.isfinite(value):
-        raise InputError(f"{path} row {row}: non-finite value {token!r}")
-    return value
+        lines = _data_lines(body)
+        stop, problem = _unparsable(lines, row_type)
+        found.append((stop, lambda r: problem))
+        rows = _parse_rows("\n".join(lines[:stop]), row_type)
+    sid = rows["segment_id"]
+    order = np.lexsort([rows[k] for k in reversed(keys)])
+    ordered = rows[order]
+    repeated = np.zeros(rows.size, dtype=bool)
+    repeated[order[1:][np.logical_and.reduce([ordered[k][1:] == ordered[k][:-1] for k in keys])]] = True
+    for bad, message in (
+        ((sid < 0) | (sid >= n), lambda r: f"unknown segment_id {sid[r]}"),
+        (repeated, lambda r: f"duplicate sample index {rows['t'][r]} for segment {sid[r]}"
+         if "t" in keys else f"duplicate segment_id {sid[r]}"),
+        (~np.isfinite(rows["value"]),
+         lambda r: f"non-finite value {_data_lines(body)[r].split(',')[-1]!r}"),
+    ):
+        if bad.any():
+            found.append((int(np.argmax(bad)), message))
+    if found:  # rows that parsed all precede an unparsable one; ties keep check order
+        r, message = min(found, key=lambda f: f[0])
+        raise InputError(f"{path} row {r + 2}: {message(r)}")
+    lengths = np.bincount(ordered["segment_id"], minlength=n)
+    position = np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    gaps = ordered["segment_id"][(ordered["t"] if "t" in keys else 0) != position]
+    first = min([*np.flatnonzero(lengths == 0)[:1].tolist(), *gaps[:1].tolist()], default=None)
+    if first is not None and lengths[first]:
+        raise InputError(f"{path}: segment {first} sample indices must be exactly 0..{lengths[first] - 1}")
+    if first is not None:
+        raise InputError(f"segment {first} lacks feature {name!r} ({path})")
+    return np.ascontiguousarray(ordered["value"]), lengths
 
 
 def load_dataset(root_path) -> Dataset:
@@ -238,56 +402,34 @@ def load_dataset(root_path) -> Dataset:
     if set(labels) != set(range(n)):
         raise InputError(f"{labels_path}: segment ids must be exactly 0..{n - 1}")
 
-    values: list[list] = [[None] * len(descriptors) for _ in range(n)]
+    columns: list[list] = []
     for d in descriptors:
         vpath = root / "values" / f"{d.name}.csv"
         if not vpath.is_file():
             raise InputError(f"values file not found for feature {d.name!r}: {vpath}")
-        if d.kind is FeatureKind.TIMESERIES:
-            rows = _read_csv(vpath, ["segment_id", "t", "value"])
-            per_segment: dict[int, dict[int, float]] = {}
-            for r, row in enumerate(rows, start=2):
-                if len(row) != 3:
-                    raise InputError(f"{vpath} row {r}: expected 3 fields")
-                sid = _parse_int(row[0], vpath, r)
-                t = _parse_int(row[1], vpath, r)
-                if sid not in labels:
-                    raise InputError(f"{vpath} row {r}: unknown segment_id {sid}")
-                samples = per_segment.setdefault(sid, {})
-                if t in samples:
-                    raise InputError(f"{vpath} row {r}: duplicate sample index {t} for segment {sid}")
-                samples[t] = _parse_real(row[2], vpath, r)
-            for sid in range(n):
-                samples = per_segment.get(sid)
-                if not samples:
-                    raise InputError(f"segment {sid} lacks feature {d.name!r} ({vpath})")
-                length = len(samples)
-                if set(samples) != set(range(length)):
-                    raise InputError(
-                        f"{vpath}: segment {sid} sample indices must be exactly 0..{length - 1}"
-                    )
-                values[sid][d.id] = np.array([samples[t] for t in range(length)], dtype=np.float64)
-        else:
-            rows = _read_csv(vpath, ["segment_id", "value"])
-            seen: dict[int, object] = {}
-            for r, row in enumerate(rows, start=2):
-                if len(row) != 2:
-                    raise InputError(f"{vpath} row {r}: expected 2 fields")
-                sid = _parse_int(row[0], vpath, r)
-                if sid not in labels:
-                    raise InputError(f"{vpath} row {r}: unknown segment_id {sid}")
-                if sid in seen:
-                    raise InputError(f"{vpath} row {r}: duplicate segment_id {sid}")
-                if d.kind is FeatureKind.SCALAR:
-                    seen[sid] = _parse_real(row[1], vpath, r)
-                else:
-                    seen[sid] = row[1]
-            for sid in range(n):
-                if sid not in seen:
-                    raise InputError(f"segment {sid} lacks feature {d.name!r} ({vpath})")
-                values[sid][d.id] = seen[sid]
+        if d.kind is not FeatureKind.CATEGORICAL:
+            series = d.kind is FeatureKind.TIMESERIES
+            values, lengths = _load_values(vpath, d.name, _SERIES_ROW if series else _SCALAR_ROW, n)
+            starts = (np.cumsum(lengths) - lengths).tolist()
+            columns.append([values[o : o + k] for o, k in zip(starts, lengths.tolist())]
+                           if series else values.tolist())
+            continue
+        seen: dict[int, str] = {}
+        for r, row in enumerate(_read_csv(vpath, ["segment_id", "value"]), start=2):
+            if len(row) != 2:
+                raise InputError(f"{vpath} row {r}: expected 2 fields")
+            sid = _parse_int(row[0], vpath, r)
+            if sid not in labels:
+                raise InputError(f"{vpath} row {r}: unknown segment_id {sid}")
+            if sid in seen:
+                raise InputError(f"{vpath} row {r}: duplicate segment_id {sid}")
+            seen[sid] = row[1]
+        for sid in range(n):
+            if sid not in seen:
+                raise InputError(f"segment {sid} lacks feature {d.name!r} ({vpath})")
+        columns.append([seen[sid] for sid in range(n)])
 
-    segments = tuple(Segment(i, tuple(values[i]), labels[i]) for i in range(n))
+    segments = tuple(Segment(i, values, labels[i]) for i, values in enumerate(zip(*columns)))
     ds = Dataset(
         descriptors=tuple(descriptors),
         segments=segments,
@@ -309,27 +451,21 @@ def write_dataset(ds: Dataset, root_path) -> None:
     with open(root / "meta.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
-    with open(root / "labels.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["segment_id", "label"])
-        for seg in ds.segments:
-            writer.writerow([seg.id, seg.label])
-    for d in ds.descriptors:
-        with open(root / "values" / f"{d.name}.csv", "w", encoding="utf-8", newline="") as fh:
+    ids = [seg.id for seg in ds.segments]
+    files = [("labels.csv", ["segment_id", "label"], zip(ids, [seg.label for seg in ds.segments]))]
+    for d, column in zip(ds.descriptors, ds.columns):
+        if d.kind is FeatureKind.TIMESERIES:  # rows made one segment at a time
+            rows = ((i, t, repr(x)) for i, x_i in zip(ids, column.series())
+                    for t, x in enumerate(x_i.tolist()))
+            files.append((f"values/{d.name}.csv", ["segment_id", "t", "value"], rows))
+        else:
+            rows = zip(ids, map(repr, column.tolist()) if d.kind is FeatureKind.SCALAR else column)
+            files.append((f"values/{d.name}.csv", ["segment_id", "value"], rows))
+    for name, header, rows in files:
+        with open(root / name, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            if d.kind is FeatureKind.TIMESERIES:
-                writer.writerow(["segment_id", "t", "value"])
-                for seg in ds.segments:
-                    for t, x in enumerate(seg.values[d.id]):
-                        writer.writerow([seg.id, t, repr(float(x))])
-            elif d.kind is FeatureKind.SCALAR:
-                writer.writerow(["segment_id", "value"])
-                for seg in ds.segments:
-                    writer.writerow([seg.id, repr(float(seg.values[d.id]))])
-            else:
-                writer.writerow(["segment_id", "value"])
-                for seg in ds.segments:
-                    writer.writerow([seg.id, seg.values[d.id]])
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def split(ds: Dataset, train_fraction: float, seed: int) -> Dataset:
@@ -379,31 +515,39 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> Dataset:
     return ds.with_split(train_ids, test_ids)
 
 
+_digest_lock = threading.Lock()
+
+
 def fingerprint(ds: Dataset) -> str:
     """Content hash of descriptors and values (labels and split excluded).
 
-    Distance matrices depend only on this, so it keys the on-disk cache. The
-    hashed bytes decode back to the content: the segment ids come first, then
-    per feature a header line, the <i8 length of every segment's value (in
-    values, or bytes for UTF-8 tokens) and the values concatenated (<f8
-    numbers or the tokens), so two different datasets never share a stream.
+    Distance matrices depend only on this, so it keys the on-disk cache. It is
+    computed on the first call for a dataset, or for any with_split() copy of
+    it, and kept.
     """
+    with _digest_lock:
+        if not ds._digest:
+            ds._digest.append(_content_digest(ds))
+        return ds._digest[0]
+
+
+def _content_digest(ds: Dataset) -> str:
+    """SHA-256 of a byte stream that decodes back to the content: the segment
+    ids come first, then per feature a header line, the <i8 length of every
+    segment's value (in values, or bytes for UTF-8 tokens) and the values
+    concatenated (<f8 numbers or the tokens), so two different datasets never
+    share a stream."""
     h = hashlib.sha256()
     h.update(np.array([ds.n, *(seg.id for seg in ds.segments)], dtype="<i8"))
-    columns = list(zip(*(seg.values for seg in ds.segments)))
-    for d in ds.descriptors:
+    for d, column in zip(ds.descriptors, ds.columns):
         h.update(f"F|{d.name}|{d.kind.value}\n".encode("utf-8"))
-        column = columns[d.id]
         if d.kind is FeatureKind.TIMESERIES:
-            lengths = [v.size for v in column]
-            data = np.concatenate(column).astype("<f8", copy=False)
+            lengths, data = column.lengths, column.values
         elif d.kind is FeatureKind.SCALAR:
-            lengths = [1] * len(column)
-            data = np.array(column, dtype="<f8")
+            lengths, data = np.ones(ds.n, dtype="<i8"), column
         else:
-            tokens = [str(v).encode("utf-8") for v in column]
-            lengths = [len(t) for t in tokens]
-            data = b"".join(tokens)
-        h.update(np.array(lengths, dtype="<i8"))
+            tokens = [t.encode("utf-8") for t in column]
+            lengths, data = np.array([len(t) for t in tokens], dtype="<i8"), b"".join(tokens)
+        h.update(lengths)
         h.update(data)
     return h.hexdigest()

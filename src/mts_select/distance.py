@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import os
 import tempfile
 import threading
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, FeatureKind, fingerprint
+from .dataset import Dataset, FeatureKind, SeriesColumn, fingerprint
 from .errors import InputError
 
 # Cap on float64 elements per DTW batch (~2 MB, so a batch stays in a core's
@@ -139,7 +140,7 @@ def dtw(s, t, window: int | None = None) -> float:
     t = _check_sequence(t, "dtw second argument")
     kernel = _compiled_kernel()
     if kernel is not None:
-        return float(kernel([s, t], window)[0, 1])
+        return float(kernel(SeriesColumn.concat([s, t]), window)[0, 1])
     return float(_dtw_stacked(s[:, None], t[:, None], window)[0])
 
 
@@ -183,13 +184,10 @@ def _numpy_matrix(series: list[np.ndarray], window: int | None) -> np.ndarray:
     return out
 
 
-def _compiled_matrix(dtw_pairs, series: list[np.ndarray], window: int | None) -> np.ndarray:
+def _compiled_matrix(dtw_pairs, column: SeriesColumn, window: int | None) -> np.ndarray:
     """Upper triangle of the DTW matrix from one call into _dtw.c's dtw_pairs."""
-    n = len(series)
-    lengths = np.array([x.size for x in series], dtype=np.int64)
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    values = np.concatenate([np.empty(0), *series])
+    values, offsets, lengths = column.values, column.offsets, column.lengths
+    n = lengths.size
     first, second = (np.ascontiguousarray(ix, dtype=np.int64) for ix in np.triu_indices(n, 1))
     out = np.empty(first.size)
     rows = np.empty(2 * (int(lengths.max(initial=0)) + 1))
@@ -208,8 +206,9 @@ def _self_check(kernel) -> bool:
     """Whether kernel matches the numpy sweep bit for bit on a fixed case with
     unequal lengths, windows narrower than those differences and length-1 series."""
     series = [np.cos(np.arange(L) * 2.3 + L) * L for L in (1, 4, 7, 2, 1, 5, 3)]
+    column = SeriesColumn.concat(series)
     return all(
-        kernel(series, window).tobytes() == _numpy_matrix(series, window).tobytes()
+        kernel(column, window).tobytes() == _numpy_matrix(series, window).tobytes()
         for window in (None, 0, 2)
     )
 
@@ -265,8 +264,8 @@ def _load_kernel(directory: Path):
     dtw_pairs.restype = None
     dtw_pairs.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2
 
-    def kernel(series, window):
-        return _compiled_matrix(dtw_pairs, series, window)
+    def kernel(column, window):
+        return _compiled_matrix(dtw_pairs, column, window)
 
     return kernel if _self_check(kernel) else None
 
@@ -281,9 +280,9 @@ def _compiled_kernel():
         return _kernel
 
 
-def _timeseries_matrix(series: list[np.ndarray], window: int | None) -> np.ndarray:
+def _timeseries_matrix(column: SeriesColumn, window: int | None) -> np.ndarray:
     kernel = _compiled_kernel()
-    return _numpy_matrix(series, window) if kernel is None else kernel(series, window)
+    return _numpy_matrix(column.series(), window) if kernel is None else kernel(column, window)
 
 
 def distance_matrix(
@@ -300,24 +299,20 @@ def distance_matrix(
     _check_window(window)
     if not 0 <= feature_id < ds.m:
         raise InputError(f"feature id {feature_id} out of range [0, {ds.m})")
-    desc = ds.descriptors[feature_id]
+    desc, column = ds.descriptors[feature_id], ds.columns[feature_id]
+    bad = ds.first_nonfinite(feature_id)
+    if bad is not None:
+        problem = "non-finite value in sequence" if desc.kind is FeatureKind.TIMESERIES else (
+            "scalar distance requires finite inputs")
+        raise InputError(f"feature {desc.name!r} segment {ds.segments[bad].id}: {problem}")
     if desc.kind is FeatureKind.TIMESERIES:
-        series = []
-        for seg in ds.segments:
-            x = _check_sequence(seg.values[feature_id], f"feature {desc.name!r} segment {seg.id}")
-            series.append(znormalize(x) if znorm else x)
-        upper = _timeseries_matrix(series, window)
+        if znorm:
+            column = SeriesColumn.concat([znormalize(x) for x in column.series()])
+        upper = _timeseries_matrix(column, window)
     elif desc.kind is FeatureKind.SCALAR:
-        x = np.array([float(seg.values[feature_id]) for seg in ds.segments], dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(x))
-        if bad.size:
-            raise InputError(
-                f"feature {desc.name!r} segment {ds.segments[bad[0]].id}: "
-                "scalar distance requires finite inputs"
-            )
-        upper = np.triu(np.abs(np.subtract.outer(x, x)), 1)
+        upper = np.triu(np.abs(np.subtract.outer(column, column)), 1)
     else:
-        tokens = np.array([seg.values[feature_id] for seg in ds.segments], dtype=object)
+        tokens = np.array(column, dtype=object)
         upper = np.triu(np.not_equal.outer(tokens, tokens), 1).astype(np.float64)
     values = upper + upper.T
     return DistanceMatrix(feature_id=feature_id, values=values)
@@ -354,12 +349,12 @@ def _write_matrix(path: Path, values: np.ndarray) -> None:
 
 def _read_matrix(path: Path, n: int) -> np.ndarray:
     """Load a cached matrix, rejecting any file that is not a valid distance matrix."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh]
+    values = np.empty((0, 0))  # what an empty file holds; numpy would warn on it
     try:
-        rows = [[float(tok) for tok in line.split(",")] for line in lines if line]
-        values = np.array(rows, dtype=np.float64)
-    except ValueError:
+        text = path.read_text(encoding="utf-8")
+        if text.strip("\n"):
+            values = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2, comments=None)
+    except ValueError:  # including a file that is not UTF-8
         raise InputError(f"cached matrix {path} is not a table of decimal reals") from None
     if values.shape != (n, n):
         raise InputError(f"cached matrix {path} has shape {values.shape}, expected {(n, n)}")

@@ -7,11 +7,25 @@ than sharing code with the implementations under test.
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import json
 import math
+import re
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
+
+from mts_select.dataset import (
+    Dataset,
+    FeatureDescriptor,
+    FeatureKind,
+    Segment,
+    validate_dataset,
+)
+from mts_select.errors import InputError
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +274,164 @@ def power_iteration_reference(W: np.ndarray, epsilon: float, max_iter: int, seed
             break
         delta_prev = delta
     return iterates, used
+
+
+# ---------------------------------------------------------------------------
+# Dataset loading and hashing, row by row: the loader and the content hash as
+# they were before the columnar Dataset.
+
+
+def _read_csv(path: Path, expected_header: list[str]) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: file is empty") from None
+        if header != expected_header:
+            raise InputError(f"{path}: expected header {','.join(expected_header)!r}")
+        return [row for row in reader if row]
+
+
+def _parse_int(token: str, path: Path, row: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"{path} row {row}: unparsable integer {token!r}") from None
+
+
+def _parse_real(token: str, path: Path, row: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise InputError(f"{path} row {row}: unparsable value {token!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"{path} row {row}: non-finite value {token!r}")
+    return value
+
+
+def load_dataset_rows(root_path) -> Dataset:
+    """load_dataset with csv and Python int()/float() on every row."""
+    root = Path(root_path)
+    meta_path = root / "meta.json"
+    if not meta_path.is_file():
+        raise InputError(f"meta file not found: {meta_path}")
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{meta_path}: invalid JSON ({exc})") from None
+    features = meta.get("features")
+    if not isinstance(features, list) or not features:
+        raise InputError(f"{meta_path}: 'features' must be a nonempty list")
+    descriptors = []
+    for j, entry in enumerate(features):
+        name = entry.get("name")
+        kind = entry.get("kind")
+        if not isinstance(name, str) or not re.match(r"^[A-Za-z0-9._-]+$", name):
+            raise InputError(f"{meta_path}: feature {j} has invalid name {name!r}")
+        try:
+            kind = FeatureKind(kind)
+        except ValueError:
+            raise InputError(f"{meta_path}: feature {name!r} has unknown kind {kind!r}") from None
+        descriptors.append(FeatureDescriptor(j, name, kind))
+
+    labels_path = root / "labels.csv"
+    if not labels_path.is_file():
+        raise InputError(f"labels file not found: {labels_path}")
+    label_rows = _read_csv(labels_path, ["segment_id", "label"])
+    labels: dict[int, str] = {}
+    classes: list[str] = []
+    for r, row in enumerate(label_rows, start=2):
+        if len(row) != 2:
+            raise InputError(f"{labels_path} row {r}: expected 2 fields")
+        sid = _parse_int(row[0], labels_path, r)
+        if sid in labels:
+            raise InputError(f"{labels_path} row {r}: duplicate segment_id {sid}")
+        labels[sid] = row[1]
+        if row[1] not in classes:
+            classes.append(row[1])
+    n = len(labels)
+    if set(labels) != set(range(n)):
+        raise InputError(f"{labels_path}: segment ids must be exactly 0..{n - 1}")
+
+    values: list[list] = [[None] * len(descriptors) for _ in range(n)]
+    for d in descriptors:
+        vpath = root / "values" / f"{d.name}.csv"
+        if not vpath.is_file():
+            raise InputError(f"values file not found for feature {d.name!r}: {vpath}")
+        if d.kind is FeatureKind.TIMESERIES:
+            rows = _read_csv(vpath, ["segment_id", "t", "value"])
+            per_segment: dict[int, dict[int, float]] = {}
+            for r, row in enumerate(rows, start=2):
+                if len(row) != 3:
+                    raise InputError(f"{vpath} row {r}: expected 3 fields")
+                sid = _parse_int(row[0], vpath, r)
+                t = _parse_int(row[1], vpath, r)
+                if sid not in labels:
+                    raise InputError(f"{vpath} row {r}: unknown segment_id {sid}")
+                samples = per_segment.setdefault(sid, {})
+                if t in samples:
+                    raise InputError(f"{vpath} row {r}: duplicate sample index {t} for segment {sid}")
+                samples[t] = _parse_real(row[2], vpath, r)
+            for sid in range(n):
+                samples = per_segment.get(sid)
+                if not samples:
+                    raise InputError(f"segment {sid} lacks feature {d.name!r} ({vpath})")
+                length = len(samples)
+                if set(samples) != set(range(length)):
+                    raise InputError(
+                        f"{vpath}: segment {sid} sample indices must be exactly 0..{length - 1}"
+                    )
+                values[sid][d.id] = np.array([samples[t] for t in range(length)], dtype=np.float64)
+        else:
+            rows = _read_csv(vpath, ["segment_id", "value"])
+            seen: dict[int, object] = {}
+            for r, row in enumerate(rows, start=2):
+                if len(row) != 2:
+                    raise InputError(f"{vpath} row {r}: expected 2 fields")
+                sid = _parse_int(row[0], vpath, r)
+                if sid not in labels:
+                    raise InputError(f"{vpath} row {r}: unknown segment_id {sid}")
+                if sid in seen:
+                    raise InputError(f"{vpath} row {r}: duplicate segment_id {sid}")
+                if d.kind is FeatureKind.SCALAR:
+                    seen[sid] = _parse_real(row[1], vpath, r)
+                else:
+                    seen[sid] = row[1]
+            for sid in range(n):
+                if sid not in seen:
+                    raise InputError(f"segment {sid} lacks feature {d.name!r} ({vpath})")
+                values[sid][d.id] = seen[sid]
+
+    segments = tuple(Segment(i, tuple(values[i]), labels[i]) for i in range(n))
+    ds = Dataset(
+        descriptors=tuple(descriptors),
+        segments=segments,
+        classes=tuple(classes),
+        train_ids=tuple(range(n)),
+        test_ids=(),
+    )
+    return validate_dataset(ds)
+
+
+def fingerprint_brute(ds: Dataset) -> str:
+    """The length-prefixed content hash, built by walking the segments."""
+    h = hashlib.sha256()
+    h.update(np.array([ds.n, *(seg.id for seg in ds.segments)], dtype="<i8"))
+    columns = list(zip(*(seg.values for seg in ds.segments)))
+    for d in ds.descriptors:
+        h.update(f"F|{d.name}|{d.kind.value}\n".encode("utf-8"))
+        column = columns[d.id]
+        if d.kind is FeatureKind.TIMESERIES:
+            lengths = [v.size for v in column]
+            data = np.concatenate(column).astype("<f8").tobytes()
+        elif d.kind is FeatureKind.SCALAR:
+            lengths = [1] * len(column)
+            data = np.array(column, dtype="<f8").tobytes()
+        else:
+            tokens = [str(v).encode("utf-8") for v in column]
+            lengths = [len(t) for t in tokens]
+            data = b"".join(tokens)
+        h.update(np.array(lengths, dtype="<i8").tobytes())
+        h.update(data)
+    return h.hexdigest()

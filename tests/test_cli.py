@@ -253,3 +253,98 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "s"))
         assert code == 2
         assert "internal consistency" in capsys.readouterr().err
+
+
+class TestRunConfig:
+    """run.json holds exactly the keys and values of the earlier hand-written
+    configs, dumped with indent=2 and sorted keys, byte for byte."""
+
+    @staticmethod
+    def expected_bytes(config):
+        return (json.dumps(config, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+    def test_gen_synthetic(self, tmp_path):
+        out = str(tmp_path / "d")
+        assert run(*gen_args(out, duplicate=1)) == 0
+        assert (tmp_path / "d/run.json").read_bytes() == self.expected_bytes({
+            "command": "gen-synthetic", "n": 24, "classes": 2, "informative": 2,
+            "noise": 2, "duplicate": [1], "seed": 1, "threads": 1, "out": out,
+        })
+
+    def test_rank(self, tmp_path):
+        data, out = str(tmp_path / "d"), str(tmp_path / "r")
+        run(*gen_args(data))
+        assert run("rank", "--data", data, "--knn", "4", "--dtw-window", "3", "--znorm",
+                   "--seed", "2", "--threads", "2", "--out", out) == 0
+        assert (tmp_path / "r/run.json").read_bytes() == self.expected_bytes({
+            "command": "rank", "data": data, "knn": 4, "train_fraction": 1.0,
+            "dtw_window": 3, "znorm": True, "seed": 2, "threads": 2,
+            "cache_dir": str(tmp_path / "r" / "cache"), "out": out,
+        })
+
+    def test_select(self, tmp_path, monkeypatch):
+        data, out, cache = str(tmp_path / "d"), str(tmp_path / "s"), str(tmp_path / "env")
+        monkeypatch.setenv("MTS_SELECT_CACHE", cache)
+        run(*gen_args(data))
+        assert run("select", "--data", data, "--knn", "5", "--lambda", "0.5", "--penalty", "mi",
+                   "--nystrom", "0", "--dump-redundancy", "--train-fraction", "0.75",
+                   "--out", out) == 0
+        assert (tmp_path / "s/run.json").read_bytes() == self.expected_bytes({
+            "command": "select", "data": data, "knn": 5, "lambda": 0.5, "target_size": None,
+            "beta": 1.0, "penalty": "mi", "nystrom": 0, "train_fraction": 0.75,
+            "dtw_window": None, "znorm": False, "seed": 0, "threads": 1,
+            "cache_dir": cache, "out": out,
+        })
+
+    def test_eval(self, tmp_path):
+        data, cache = str(tmp_path / "d"), str(tmp_path / "c")
+        run(*gen_args(data))
+        run("rank", "--data", data, "--knn", "5", "--out", str(tmp_path / "r"), "--cache-dir", cache)
+        out = str(tmp_path / "e" / "results.json")
+        assert run("eval", "--data", data, "--subset", str(tmp_path / "r/scores.csv"),
+                   "--top", "2", "--weighted", "--aggregate", "graphs", "--knn", "3",
+                   "--train-fraction", "0.5", "--cache-dir", cache, "--out", out) == 0
+        assert (tmp_path / "e/run.json").read_bytes() == self.expected_bytes({
+            "command": "eval", "data": data, "subset": str(tmp_path / "r/scores.csv"),
+            "top": 2, "weighted": True, "aggregate": "graphs", "knn": 3,
+            "train_fraction": 0.5, "dtw_window": None, "znorm": False, "seed": 0,
+            "threads": 1, "cache_dir": cache, "out": out,
+        })
+
+
+class TestHashOnce:
+    """A CLI command hashes the dataset content once, however many cache
+    lookups it makes."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        from mts_select import dataset as dataset_mod
+
+        calls = []
+        digest = dataset_mod._content_digest
+
+        def counting(ds):
+            calls.append(ds)
+            return digest(ds)
+
+        monkeypatch.setattr(dataset_mod, "_content_digest", counting)
+        return calls
+
+    def test_rank(self, tmp_path, digests):
+        run(*gen_args(tmp_path / "d", noise=4))
+        digests.clear()
+        for threads in ("1", "2"):
+            assert run("rank", "--data", str(tmp_path / "d"), "--knn", "5", "--threads", threads,
+                       "--out", str(tmp_path / f"r{threads}")) == 0
+        assert len(digests) == 2  # one per command: six lookups each
+
+    def test_select(self, tmp_path, digests):
+        run(*gen_args(tmp_path / "d", noise=4))
+        cache = str(tmp_path / "c")
+        run("rank", "--data", str(tmp_path / "d"), "--knn", "5", "--out", str(tmp_path / "r"),
+            "--cache-dir", cache)
+        digests.clear()
+        assert run("select", "--data", str(tmp_path / "d"), "--knn", "5", "--target-size", "2",
+                   "--train-fraction", "0.75", "--cache-dir", cache,
+                   "--out", str(tmp_path / "s")) == 0
+        assert len(digests) == 1

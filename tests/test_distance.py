@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mts_select import distance as distance_mod
+from mts_select.dataset import SeriesColumn
 from mts_select.distance import (
     _format_matrix,
     _numpy_matrix,
@@ -233,9 +234,9 @@ class TestCompiledKernel(KernelCases):
         # The costs are small integers, so every sum is exact in any order.
         seqs = {L: np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=L))) for L in range(1, 6)}
         series = [s for S in seqs.values() for s in S]
-        upper = compiled_kernel(series, None)
+        upper = compiled_kernel(SeriesColumn.concat(series), None)
         # Lower triangle from the reversed list, so each (i, j) is dtw(series[i], series[j]).
-        full = upper + compiled_kernel(series[::-1], None)[::-1, ::-1]
+        full = upper + compiled_kernel(SeriesColumn.concat(series[::-1]), None)[::-1, ::-1]
         start = dict(zip(seqs, np.cumsum([0] + [len(S) for S in seqs.values()])))
         for a, S in seqs.items():
             for b, T in seqs.items():
@@ -259,7 +260,7 @@ class TestCompiledKernel(KernelCases):
     def test_bit_identical_to_numpy_kernel(self, compiled_kernel, cols, window):
         series = [np.array(c) for c in cols]
         expected = _numpy_matrix(series, window)
-        assert compiled_kernel(series, window).tobytes() == expected.tobytes()
+        assert compiled_kernel(SeriesColumn.concat(series), window).tobytes() == expected.tobytes()
 
 
 class TestKernelLoader:
@@ -566,6 +567,11 @@ class TestCache:
             ("0.0,1.0\n1.0,0.0\n", "shape"),
             ("0.0,1.0,2.0\n1.0,zero,3.0\n2.0,3.0,0.0\n", "not a table"),
             ("0.0,1.0,2.0\n1.0,0.0\n2.0,3.0,0.0\n", "not a table"),
+            ("# cached\n0.0,1.0,2.0\n1.0,0.0,3.0\n2.0,3.0,0.0\n", "not a table"),
+            ("0.0,1.0,2.0,\n1.0,0.0,3.0,\n2.0,3.0,0.0,\n", "not a table"),
+            ("", "shape"),
+            ("0.0,1_0,2.0\n1_0,0.0,3.0\n2.0,3.0,0.0\n", "not a table"),
+            ("0.0,1.0,2.0\n1.0,0.0,3.0\n2.0,3.0\n", "not a table"),
         ],
     )
     def test_malformed_cache_file_rejected(self, tmp_path, text, message):
