@@ -13,10 +13,11 @@ cost + min(up, left, diag), which makes the result bit-identical regardless of
 evaluation order or batching.
 
 Where a C compiler is available, the same cells are computed by _dtw.c, one
-call per feature, row by row. It is compiled on the first DTW call into the
-package's __pycache__ and used only if it matches the numpy sweep bit for bit
-on a fixed self-check; otherwise, or if it cannot be built or loaded, the
-numpy sweep runs. Both give the same bits.
+call per feature, row by row, with the pairs sorted by shape so that it can
+run eight pairs of one shape side by side. It is compiled on the first DTW
+call into the package's __pycache__ and used only if it matches the numpy
+sweep bit for bit on a fixed self-check; otherwise, or if it cannot be built
+or loaded, the numpy sweep runs. Both give the same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("_dtw.c")
 # Where the compiled kernel is cached: next to CPython's own bytecode cache.
 _KERNEL_DIR = Path(__file__).with_name("__pycache__")
 _COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_LANES = 8  # LANES in _dtw.c: pairs of one shape it runs side by side
 _UNLOADED = object()
 _kernel = _UNLOADED  # the compiled kernel, or None for the numpy sweep
 _kernel_lock = threading.Lock()
@@ -188,9 +190,12 @@ def _compiled_matrix(dtw_pairs, column: SeriesColumn, window: int | None) -> np.
     """Upper triangle of the DTW matrix from one call into _dtw.c's dtw_pairs."""
     values, offsets, lengths = column.values, column.offsets, column.lengths
     n = lengths.size
-    first, second = (np.ascontiguousarray(ix, dtype=np.int64) for ix in np.triu_indices(n, 1))
+    first, second = np.triu_indices(n, 1)
+    # Pairs of one shape next to each other, so the kernel can run them side by side.
+    order = np.lexsort((lengths[second], lengths[first]))
+    first, second = (np.ascontiguousarray(ix[order], dtype=np.int64) for ix in (first, second))
     out = np.empty(first.size)
-    rows = np.empty(2 * (int(lengths.max(initial=0)) + 1))
+    rows = np.empty(_LANES * (4 * int(lengths.max(initial=0)) + 2))
     # No pair's |i - j| reaches the total length, so it stands for "unconstrained".
     total = int(values.size)
     band = total if window is None else min(int(window), total)
@@ -204,8 +209,13 @@ def _compiled_matrix(dtw_pairs, column: SeriesColumn, window: int | None) -> np.
 
 def _self_check(kernel) -> bool:
     """Whether kernel matches the numpy sweep bit for bit on a fixed case with
-    unequal lengths, windows narrower than those differences and length-1 series."""
-    series = [np.cos(np.arange(L) * 2.3 + L) * L for L in (1, 4, 7, 2, 1, 5, 3)]
+    unequal lengths, windows narrower than those differences and length-1 series.
+
+    Ten distinct 3-long series give the kernel's lane path full and partial
+    groups of shape (3, 3), and groups with a < b and a > b against the
+    earlier series, such as (1, 3) and (7, 3)."""
+    lengths = (1, 4, 7, 2, 1, 5, 3) + (3,) * 9
+    series = [np.cos(np.arange(L) * 2.3 + k) * L for k, L in enumerate(lengths)]
     column = SeriesColumn.concat(series)
     return all(
         kernel(column, window).tobytes() == _numpy_matrix(series, window).tobytes()

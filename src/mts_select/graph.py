@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
+from .info import distinct
 
 
 def knn_graph(distances: np.ndarray, k: int) -> np.ndarray:
@@ -29,9 +30,8 @@ def knn_graph(distances: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.float64)
     masked = M.copy()
     np.fill_diagonal(masked, np.inf)
-    for i in range(n):
-        order = np.argsort(masked[i], kind="stable")
-        out[i, order[:k]] = 1.0
+    nearest = np.argsort(masked, axis=1, kind="stable")[:, :k]
+    np.put_along_axis(out, nearest, 1.0, axis=1)
     return out
 
 
@@ -50,7 +50,7 @@ def label_graph(labels: np.ndarray) -> np.ndarray:
     y = np.asarray(labels)
     if y.ndim != 1:
         raise InputError("label vector must be one-dimensional")
-    if len(np.unique(y)) < 2:
+    if len(distinct(y)) < 2:
         raise InputError("degenerate label graph: labels contain a single class")
     out = (y[:, None] == y[None, :]).astype(np.float64)
     np.fill_diagonal(out, 0.0)

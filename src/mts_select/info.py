@@ -23,6 +23,38 @@ import numpy as np
 from .errors import InputError
 
 
+def distinct(values) -> np.ndarray:
+    """The sorted distinct values of an array, as np.unique(values) gives them.
+
+    Without a return flag, np.unique asks numpy.ma whether the array is masked,
+    which imports numpy.ma (about 17 ms per process); with return_counts it
+    takes its sort path, which does not.
+    """
+    return np.unique(values, return_counts=True)[0]
+
+
+def midpoint_quantiles(x: np.ndarray, probs) -> np.ndarray:
+    """np.quantile(x, probs, method="midpoint") for a float64 vector x of two
+    or more values and every p in probs strictly between 0 and 1.
+
+    It takes np.quantile's own steps on the same values, so it gives the same
+    bits, but picks the partition indices with distinct: np.quantile picks
+    them with a bare np.unique, which imports numpy.ma.
+    """
+    n = x.size
+    scaled = (n - 1) * np.asarray(probs, dtype=np.float64)
+    virtual = 0.5 * (np.floor(scaled) + np.ceil(scaled))
+    # 0 < p < 1 puts virtual at most n - 1.5, or n - 2 where it is whole, so
+    # both neighbours lie inside x and numpy's clamping at the ends never acts.
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    ordered = np.partition(x, distinct(np.concatenate(([0, -1], below, above))))
+    lower, upper = ordered[below], ordered[above]
+    gamma = np.where(virtual % 1 == 0, 0.0, 0.5)
+    diff = upper - lower
+    return np.where(gamma >= 0.5, upper - diff * (1 - gamma), lower + diff * gamma)
+
+
 def quantize(values: np.ndarray, num_bins: int) -> np.ndarray:
     """Bin a real vector with 1-D k-means (Lloyd's algorithm).
 
@@ -38,7 +70,7 @@ def quantize(values: np.ndarray, num_bins: int) -> np.ndarray:
     if n < num_bins:
         raise InputError(f"cannot quantize {n} points into {num_bins} bins")
     probs = [(2 * i + 1) / (2 * num_bins) for i in range(num_bins)]
-    centers = np.quantile(x, probs, method="midpoint")
+    centers = midpoint_quantiles(x, probs)
     assign = None
     for _ in range(100):
         dist = np.abs(x[:, None] - centers[None, :])
@@ -102,7 +134,7 @@ def conditional_mi(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     if not a.size == b.size == c.size:
         raise InputError(f"length mismatch: {a.size}, {b.size}, {c.size}")
     total = 0.0
-    for z in np.unique(c):
+    for z in distinct(c):
         sel = c == z
         pz = sel.sum() / c.size
         total += pz * mutual_information(a[sel], b[sel])
@@ -116,7 +148,7 @@ def nmi(values: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
     constant embedding (zero bin entropy) scores 0 by convention.
     """
     y = np.asarray(labels).ravel()
-    if len(np.unique(y)) < 2:
+    if len(distinct(y)) < 2:
         raise InputError("labels are constant; NMI is undefined")
     bins = quantize(values, num_classes)
     h_bins = entropy(bins)

@@ -17,7 +17,7 @@ from .dataset import Dataset
 from .distance import cached_distance_matrix
 from .errors import InputError
 from .graph import knn_graph, symmetrize
-from .info import nmi
+from .info import distinct, nmi
 from .seeding import child_seed
 from .spectral import power_iteration_embedding
 
@@ -113,7 +113,7 @@ def rank_features(
     """Score every feature by NMI(embedding, training labels) and sort."""
     train = np.asarray(ds.train_ids, dtype=np.intp)
     y_train = ds.label_codes()[train]
-    if len(np.unique(y_train)) < 2:
+    if len(distinct(y_train)) < 2:
         raise InputError("training labels contain a single class")
     num_classes = len(ds.classes)
     _, embeddings = feature_embeddings(

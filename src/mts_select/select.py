@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import InputError
 from .graph import label_graph
-from .info import RedundancyMatrix, build_redundancy, nystrom_redundancy, psd_shift
+from .info import RedundancyMatrix, build_redundancy, distinct, nystrom_redundancy, psd_shift
 from .ranker import feature_embeddings
 from .seeding import child_seed
 from .solver import SolveResult, flatten, solve, solve_for_support
@@ -70,7 +70,7 @@ def select_features(
         raise InputError("provide exactly one of lam / target_size")
     train = np.asarray(ds.train_ids, dtype=np.intp)
     y_train = ds.label_codes()[train]
-    if len(np.unique(y_train)) < 2:
+    if len(distinct(y_train)) < 2:
         raise InputError("training labels contain a single class")
     num_classes = len(ds.classes)
 

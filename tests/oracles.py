@@ -243,6 +243,22 @@ def grid_search_objective(columns, target, penalty, lam, beta, hi=3.0, step=1e-3
 
 
 # ---------------------------------------------------------------------------
+# k-NN graph, one row at a time.
+
+
+def knn_graph_rows(distances, k: int) -> np.ndarray:
+    """Row i marks its k nearest columns j != i, taken from one stable argsort
+    of row i with the diagonal masked to inf."""
+    masked = np.array(distances, dtype=np.float64)
+    np.fill_diagonal(masked, np.inf)
+    out = np.zeros_like(masked)
+    for i in range(masked.shape[0]):
+        order = np.argsort(masked[i], kind="stable")
+        out[i, order[:k]] = 1.0
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Power iteration, written with plain loops.
 
 

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from mts_select.cli import main
-from mts_select.dataset import load_dataset
+from mts_select.dataset import load_dataset, write_dataset
 from mts_select.errors import ConsistencyError
+
+from conftest import make_dataset
 
 
 def run(*argv):
@@ -348,3 +353,49 @@ class TestHashOnce:
                    "--train-fraction", "0.75", "--cache-dir", cache,
                    "--out", str(tmp_path / "s")) == 0
         assert len(digests) == 1
+
+
+class TestNoNumpyMa:
+    """A run never imports numpy.ma (about 17 ms per process): numpy 2 loads it
+    lazily, on the first np.unique without a return flag or np.quantile."""
+
+    SCRIPT = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    sys.exit(3)  # numpy 1.x imports it with numpy itself
+from mts_select.cli import main
+d, out = sys.argv[1], sys.argv[2]
+common = ["--data", d, "--knn", "3", "--train-fraction", "0.67", "--cache-dir", out + "/c"]
+assert main(["rank", *common, "--threads", "2", "--out", out + "/r"]) == 0
+for penalty in ("mi", "cmi"):
+    assert main(["select", *common, "--target-size", "2", "--penalty", penalty,
+                 "--out", out + "/" + penalty]) == 0
+    assert main(["eval", *common, "--subset", out + "/" + penalty + "/alpha.csv",
+                 "--weighted", "--out", out + "/" + penalty + ".json"]) == 0
+assert main(["eval", *common, "--subset", out + "/r/scores.csv", "--top", "2",
+             "--aggregate", "graphs", "--out", out + "/top.json"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+    def test_rank_select_eval(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n = 12
+        ds = make_dataset(
+            [
+                ("ts", "timeseries", [rng.normal(size=3 + i % 4) for i in range(n)]),
+                ("ts2", "timeseries", [rng.normal(size=5) for _ in range(n)]),
+                ("level", "scalar", rng.normal(size=n).tolist()),
+                ("token", "categorical", [f"t{i % 3}" for i in range(n)]),
+            ],
+            ["a", "b", "c"] * 4,
+        )
+        write_dataset(ds, tmp_path / "d")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path / "d"),
+                               str(tmp_path / "out")], env=env, capture_output=True,
+                              text=True, timeout=120)
+        if proc.returncode == 3:
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

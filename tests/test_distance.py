@@ -1,5 +1,6 @@
 import itertools
 import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -192,6 +193,24 @@ class KernelCases:
         cols = [rng.normal(size=L).tolist() for L in (12, 20, 16, 12, 19, 20)]
         assert_matrix_matches_references(cols, window, row_dp)
 
+    # The compiled kernel runs 8 pairs of one shape side by side and the rest
+    # one at a time: n equal-length series give n * (n - 1) / 2 such pairs.
+    @pytest.mark.parametrize("n", [4, 7, 8, 9, 17])
+    @pytest.mark.parametrize("window", [None, 1])
+    def test_equal_length_series(self, n, window):
+        rng = np.random.default_rng(n)
+        cols = [rng.normal(size=4).tolist() for _ in range(n)]
+        assert_matrix_matches_references(cols, window, dtw_brute)
+
+    @pytest.mark.parametrize("lengths", [(6, 2), (2, 6)], ids=["a>b", "a<b"])
+    @pytest.mark.parametrize("window", [None, 0, 1, 2, 3])
+    def test_unequal_shape_groups(self, lengths, window):
+        # Three series of each length give nine pairs of shape lengths, and
+        # windows 0 to 3 are narrower than their length difference.
+        rng = np.random.default_rng(31)
+        cols = [rng.normal(size=L).tolist() for L in np.repeat(lengths, 3)]
+        assert_matrix_matches_references(cols, window, dtw_brute)
+
 
 class TestKernel(KernelCases):
     """The batched, streamed numpy anti-diagonal sweep."""
@@ -262,6 +281,42 @@ class TestCompiledKernel(KernelCases):
         expected = _numpy_matrix(series, window)
         assert compiled_kernel(SeriesColumn.concat(series), window).tobytes() == expected.tobytes()
 
+    def assert_numpy_bits(self, kernel, series, window):
+        got = kernel(SeriesColumn.concat(series), window)
+        assert got.tobytes() == _numpy_matrix(series, window).tobytes()
+
+    @pytest.mark.parametrize("window", [None, 0, 2])
+    def test_ragged_feature_forms_some_groups(self, compiled_kernel, window):
+        # Lengths 5 and 7 repeat enough to fill groups of (5, 5), (5, 7),
+        # (7, 5) and (7, 7) pairs; the others stay alone, shuffled among them.
+        rng = np.random.default_rng(12)
+        lengths = rng.permutation([5] * 6 + [7] * 5 + [1, 2, 3, 4, 6, 8, 9, 10])
+        self.assert_numpy_bits(compiled_kernel, [rng.normal(size=L) for L in lengths], window)
+
+    @pytest.mark.parametrize("window", [None, 7])
+    def test_long_series_fill_the_scratch_rows(self, compiled_kernel, window):
+        # Five 200-long series give a full group and two lone pairs; the
+        # 230-long one sets the scratch size and pairs with them alone.
+        rng = np.random.default_rng(13)
+        series = [rng.normal(size=L) for L in (200,) * 5 + (230,)]
+        self.assert_numpy_bits(compiled_kernel, series, window)
+
+    @given(
+        st.lists(st.integers(1, 9), min_size=2, max_size=3, unique=True).flatmap(
+            lambda lengths: st.lists(
+                st.sampled_from(lengths).flatmap(
+                    lambda L: st.lists(st.integers(-4, 4).map(float), min_size=L, max_size=L)),
+                min_size=6,
+                max_size=24,
+            )
+        ),
+        st.one_of(st.none(), st.integers(0, 4)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_few_lengths_bit_identical_to_numpy_kernel(self, compiled_kernel, cols, window):
+        # Integer values give ties between up, diag and left in most cells.
+        self.assert_numpy_bits(compiled_kernel, [np.array(c) for c in cols], window)
+
 
 class TestKernelLoader:
     """Every way the compiled kernel can fail to load leaves the numpy sweep's bits."""
@@ -288,6 +343,13 @@ class TestKernelLoader:
     def test_kernel_loads_where_a_compiler_exists(self):
         # Otherwise a kernel that fails its self-check would only skip the tests above.
         assert distance_mod._compiled_kernel() is not None
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        command = [*distance_mod._COMPILE, "-Wall", "-Wextra", "-Werror",
+                   "-o", str(tmp_path / "dtw.so"), str(distance_mod._KERNEL_SOURCE)]
+        proc = subprocess.run(command, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_no_compiler_on_path(self, kernel_dir, monkeypatch, tmp_path):
         monkeypatch.setenv("PATH", str(tmp_path / "no-such-bin"))

@@ -4,6 +4,8 @@ import pytest
 from mts_select.errors import InputError
 from mts_select.graph import knn_graph, label_graph, row_normalize, symmetrize
 
+from oracles import knn_graph_rows
+
 
 class TestKnnGraph:
     def test_nearest_neighbor_edges(self):
@@ -38,6 +40,16 @@ class TestKnnGraph:
     def test_weights_reset_to_one(self):
         M = np.array([[0.0, 100.0], [100.0, 0.0]])
         assert knn_graph(M, 1)[0, 1] == 1.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_row_by_row_oracle_on_ties(self, seed):
+        # Distances from {0, 1, 2}, not symmetric and with a nonzero diagonal,
+        # so most rows hold ties that only the index order breaks.
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 7, 16, 33):
+            M = rng.integers(0, 3, size=(n, n)).astype(float)
+            for k in sorted({1, n // 2, n - 1} - {0}):
+                assert knn_graph(M, k).tobytes() == knn_graph_rows(M, k).tobytes(), (n, k)
 
 
 class TestSymmetrize:

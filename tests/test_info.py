@@ -13,7 +13,9 @@ from mts_select.info import (
     RedundancyMatrix,
     build_redundancy,
     conditional_mi,
+    distinct,
     entropy,
+    midpoint_quantiles,
     min_eigenvalue,
     mutual_information,
     nmi,
@@ -51,6 +53,28 @@ class TestQuantize:
     def test_deterministic_and_seed_ignored(self):
         x = np.random.default_rng(0).random(30)
         np.testing.assert_array_equal(quantize(x, 3), quantize(x.copy(), 3))
+
+
+class TestMidpointQuantiles:
+    """midpoint_quantiles against np.quantile, whose np.unique imports numpy.ma."""
+
+    @given(
+        st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.25, 1e-300, 7e15]),
+                 min_size=2, max_size=30)
+        | st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=30),
+        st.integers(2, 9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_numpy(self, values, bins):
+        x = np.array(values)
+        probs = [(2 * i + 1) / (2 * bins) for i in range(bins)]
+        got = midpoint_quantiles(x, probs)
+        assert got.tobytes() == np.quantile(x, probs, method="midpoint").tobytes()
+        assert x.tobytes() == np.array(values).tobytes()  # the input is not reordered
+
+    @pytest.mark.parametrize("values", [[3, 1, 3, 2, 1], ["b", "a", "b"], [2.0, np.nan, np.nan, 1.0]])
+    def test_distinct_equals_unique(self, values):
+        np.testing.assert_array_equal(distinct(np.array(values)), np.unique(np.array(values)))
 
 
 class TestEntropy:
