@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, load_dataset, split, write_dataset
-from .distance import cached_distance_matrix
+from .distance import _format_matrix, cached_distance_matrix
 from .errors import ConsistencyError, InputError
 from .evaluation import accuracy, aggregate, nn1_classify
 from .graph import knn_graph, symmetrize
@@ -197,9 +197,7 @@ def _cmd_select(args) -> int:
     _write_json(out_dir / "alpha_meta.json", meta)
     if args.dump_redundancy:
         with open(out_dir / "redundancy.csv", "w", encoding="utf-8", newline="\n") as fh:
-            for row in result.penalty.values:
-                fh.write(",".join(repr(float(x)) for x in row))
-                fh.write("\n")
+            fh.write(_format_matrix(result.penalty.values))
     return 0
 
 

@@ -56,11 +56,8 @@ def nn1_classify(dist: AggregatedDistance | np.ndarray, train_ids, test_ids, lab
     y = np.asarray(labels)
     if train.size == 0:
         raise InputError("cannot classify with an empty training set")
-    predictions = []
-    for i in test:
-        row = values[i, train]
-        predictions.append(y[train[int(np.argmin(row))]])
-    return np.array(predictions)
+    nearest = np.argmin(values[np.ix_(test, train)], axis=1)  # first minimum: smallest id
+    return y[train[nearest]]
 
 
 def accuracy(predicted, truth) -> float:

@@ -6,11 +6,12 @@ graph, h_y flattens the label graph, and P is a (PSD-shifted) redundancy
 penalty. Coordinates are minimized exactly in a fixed cyclic order, which
 guarantees a monotone objective and bitwise-reproducible results.
 
-The coordinate steps run on the Gram form ("covariance updates", Friedman,
-Hastie & Tibshirani 2010): a step needs only G = H^T H (m x m) and
-c = H^T h_y, so no n^2-long residual is kept. Similarity graph entries are
-in {0, 1/2, 1} and label graph entries in {0, 1}, so every entry of G and c
-is a multiple of 1/4 and exact in float64 in any summation order.
+The Gram form is the only representation of the least-squares term
+("covariance updates", Friedman, Hastie & Tibshirani 2010): G = H^T H,
+c = H^T h_y and h_y^T h_y, accumulated over row blocks of the graphs in
+O(m^2 + block) memory. A coordinate step costs O(m), the objective O(m^2).
+Similarity graph entries are in {0, 1/2, 1} and label graph entries in
+{0, 1}, so G and c are multiples of 1/4, exact in any summation order.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError
 
+# Most design entries flatten forms at once; n=60, m=70 (252000) is one block.
+BLOCK_ENTRIES = 1 << 18
+
 
 @dataclass
 class FlatDesign:
-    columns: np.ndarray  # (n*n, m), column j = flattened graph j
-    target: np.ndarray  # (n*n,), flattened label graph
-    gram: np.ndarray  # (m, m), columns^T columns
-    cross: np.ndarray  # (m,), columns^T target
+    gram: np.ndarray  # (m, m), H^T H
+    cross: np.ndarray  # (m,), H^T h_y
+    target_sq: float  # h_y^T h_y
 
 
 @dataclass
@@ -40,24 +43,25 @@ class SolveResult:
 
 
 def flatten(graphs, target: np.ndarray) -> FlatDesign:
-    """Stack row-major flattened graphs as design columns, with their Gram form."""
+    """Gram form of the design H whose column j is graph j, flattened row-major."""
     target = np.asarray(target, dtype=np.float64)
     if target.ndim != 2 or target.shape[0] != target.shape[1]:
         raise InputError("target graph must be square")
     n = target.shape[0]
-    cols = []
+    graphs = [np.asarray(W, dtype=np.float64) for W in graphs]
     for j, W in enumerate(graphs):
-        W = np.asarray(W, dtype=np.float64)
         if W.shape != (n, n):
             raise InputError(f"graph {j} has shape {W.shape}, expected {(n, n)}")
-        cols.append(W.ravel(order="C"))
-    if not cols:
+    if not graphs:
         raise InputError("need at least one graph")
-    columns = np.stack(cols, axis=1)
-    target = target.ravel(order="C")
-    return FlatDesign(
-        columns=columns, target=target, gram=columns.T @ columns, cross=columns.T @ target
-    )
+    m = len(graphs)
+    gram, cross = np.zeros((m, m)), np.zeros(m)
+    rows = max(1, BLOCK_ENTRIES // max(1, n * m))
+    for r in range(0, n, rows):
+        block = np.stack([W[r:r + rows].ravel() for W in graphs], axis=1)
+        gram += block.T @ block
+        cross += block.T @ target[r:r + rows].ravel()
+    return FlatDesign(gram=gram, cross=cross, target_sq=float(np.vdot(target, target)))
 
 
 def objective(
@@ -68,11 +72,11 @@ def objective(
     beta: float,
 ) -> float:
     alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (design.columns.shape[1],):
+    if alpha.shape != design.cross.shape:
         raise InputError("coefficient vector does not match the design")
-    resid = design.target - design.columns @ alpha
+    residual_sq = design.target_sq - 2.0 * (design.cross @ alpha) + alpha @ design.gram @ alpha
     return float(
-        0.5 * (resid @ resid) + lam * np.sum(np.abs(alpha)) + beta * (alpha @ penalty @ alpha)
+        0.5 * residual_sq + lam * np.sum(np.abs(alpha)) + beta * (alpha @ penalty @ alpha)
     )
 
 
@@ -126,7 +130,7 @@ def solve(
     otherwise ConsistencyError.
     """
     penalty = np.asarray(penalty, dtype=np.float64)
-    m = design.columns.shape[1]
+    m = design.cross.shape[0]
     if penalty.shape != (m, m):
         raise InputError(f"penalty matrix has shape {penalty.shape}, expected {(m, m)}")
     if lam < 0 or beta < 0:
@@ -192,14 +196,19 @@ def solve_for_support(
     Support size is treated as nonincreasing in lambda; the search runs at
     most max_steps bisections over [0, max_lambda] and returns the candidate
     whose support size is closest to the target (ties prefer the smaller
-    support).
+    support). The redundancy term does not guarantee a monotone path, so a
+    RuntimeWarning lists the (lambda, support size) path when support grows
+    with lambda.
     """
     if target_size < 0:
         raise InputError("target size must be nonnegative")
+    path: list[tuple[float, int]] = []
 
     def run(lam: float) -> tuple[int, SolveResult]:
         res = solve(design, penalty, lam, beta, max_sweeps=max_sweeps, tol=tol)
-        return int(np.sum(res.alpha > support_epsilon)), res
+        size = int(np.sum(res.alpha > support_epsilon))
+        path.append((lam, size))
+        return size, res
 
     hi = max_lambda(design)
     best: tuple[int, int, float, SolveResult] | None = None
@@ -227,6 +236,13 @@ def solve_for_support(
             else:
                 hi = mid
     assert best is not None
+    path.sort()
+    if any(a[1] < b[1] for a, b in zip(path, path[1:])):
+        warnings.warn(
+            f"support size grows with lambda along the bisection path (lambda, size) {path}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if best[1] != target_size:
         warnings.warn(
             f"target support size {target_size} not reached; closest achieved is {best[1]}",

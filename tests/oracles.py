@@ -179,7 +179,18 @@ def redundancy_brute(bins, y, kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Solver: exact minimum of the objective over a regular grid.
+# Solver: the least-squares design written out, and the exact minimum of the
+# objective over a regular grid.
+
+
+def design_columns(graphs, target) -> tuple[np.ndarray, np.ndarray]:
+    """(H, h): column j of H is graph j read row by row, h the label graph
+    read the same way, entry by entry."""
+    n = len(target)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    H = np.array([[float(W[i][j]) for W in graphs] for i, j in cells])
+    h = np.array([float(target[i][j]) for i, j in cells])
+    return H, h
 
 
 def grid_search_objective(columns, target, penalty, lam, beta, hi=3.0, step=1e-3):

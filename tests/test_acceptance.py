@@ -43,6 +43,7 @@ from mts_select.synthetic import generate
 from oracles import (
     PathTable,
     cmi_brute,
+    design_columns,
     entropy_brute,
     grid_search_objective,
     mi_brute,
@@ -79,7 +80,7 @@ def random_solver_instance(rng, m=None, n=None):
     penalty = psd_shift(RedundancyMatrix(kind="mi", values=0.5 * (raw + raw.T))).values
     lam = float(rng.random() * 0.3)
     beta = float(rng.random() * 1.5 + 0.2)
-    return design, penalty, lam, beta
+    return design, penalty, lam, beta, (graphs, target)
 
 
 def test_criterion_1_dtw_oracle():
@@ -223,13 +224,14 @@ def test_criterion_4_solver():
         rng = np.random.default_rng(4)
         # (a) monotone objective + (b) KKT residual on 100 random instances.
         for _ in range(100):
-            design, penalty, lam, beta = random_solver_instance(rng)
+            design, penalty, lam, beta, source = random_solver_instance(rng)
             res = solve(design, penalty, lam, beta)
             trace = res.objective_trace
             assert np.all(np.diff(trace) <= 1e-10 * np.maximum(1.0, np.abs(trace[:-1])))
-            residual = design.target - design.columns @ res.alpha
+            H, h = design_columns(*source)
+            residual = h - H @ res.alpha
             for k in range(len(res.alpha)):
-                g = -(design.columns[:, k] @ residual) + 2.0 * beta * (penalty[k] @ res.alpha)
+                g = -(H[:, k] @ residual) + 2.0 * beta * (penalty[k] @ res.alpha)
                 scale = 1.0 + abs(g)
                 if res.alpha[k] > 0:
                     assert abs(g + lam) <= 1e-6 * scale
@@ -237,26 +239,27 @@ def test_criterion_4_solver():
                     assert g + lam >= -1e-6 * scale
         # (c) full shrinkage at lambda >= max |H_k^T h_y|.
         for _ in range(10):
-            design, penalty, _, beta = random_solver_instance(rng)
+            design, penalty, _, beta, _ = random_solver_instance(rng)
             res = solve(design, penalty, max_lambda(design), beta)
             assert np.array_equal(res.alpha, np.zeros_like(res.alpha))
         # (d) objective within 2e-3 of the exhaustive grid oracle.
         for m in (1, 2, 3):
             for _ in range(2):
-                design, penalty, lam, beta = random_solver_instance(rng, m=m, n=int(rng.integers(2, 5)))
+                design, penalty, lam, beta, source = random_solver_instance(rng, m=m, n=int(rng.integers(2, 5)))
                 res = solve(design, penalty, lam, beta, tol=1e-12)
                 assert np.max(res.alpha) < 2.9
                 value = objective(res.alpha, design, penalty, lam, beta)
-                grid = grid_search_objective(design.columns, design.target, penalty, lam, beta)
+                grid = grid_search_objective(*design_columns(*source), penalty, lam, beta)
                 assert abs(value - grid) <= 2e-3
         # (e) coordinate derivative matches central finite differences.
         for _ in range(20):
-            design, penalty, _, beta = random_solver_instance(rng)
-            m = design.columns.shape[1]
+            design, penalty, _, beta, source = random_solver_instance(rng)
+            H, h_y = design_columns(*source)
+            m = H.shape[1]
             alpha = rng.random(m)
 
             def smooth(a):
-                r = design.target - design.columns @ a
+                r = h_y - H @ a
                 return 0.5 * float(r @ r) + beta * float(a @ penalty @ a)
 
             h = 1e-5

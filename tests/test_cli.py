@@ -9,6 +9,7 @@ import pytest
 from mts_select.cli import main
 from mts_select.dataset import load_dataset, write_dataset
 from mts_select.errors import ConsistencyError
+from mts_select.select import select_features
 
 from conftest import make_dataset
 
@@ -129,6 +130,17 @@ class TestSelectCommand:
             "--seed", "1", "--out", str(tmp_path / "s"), "--dump-redundancy")
         rows = (tmp_path / "s/redundancy.csv").read_text().splitlines()
         assert len(rows) == 4 and len(rows[0].split(",")) == 4
+
+    def test_dump_redundancy_bytes(self, tmp_path):
+        # One repr(float) token per entry, rows ending in "\n", exactly as the
+        # penalty matrix of the same selection run in-process.
+        run(*gen_args(tmp_path / "d"))
+        run("select", "--data", str(tmp_path / "d"), "--knn", "5", "--lambda", "0.1",
+            "--seed", "1", "--out", str(tmp_path / "s"), "--dump-redundancy")
+        result = select_features(load_dataset(tmp_path / "d"), 5, lam=0.1, seed=1)
+        expected = "".join(",".join(repr(float(x)) for x in row) + "\n"
+                           for row in result.penalty.values)
+        assert (tmp_path / "s/redundancy.csv").read_bytes() == expected.encode()
 
     def test_lambda_and_target_size_exclusive(self, tmp_path, capsys):
         run(*gen_args(tmp_path / "d"))

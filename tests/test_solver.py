@@ -1,6 +1,8 @@
 import math
 import re
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from mts_select.errors import ConsistencyError, InputError
 from mts_select.graph import knn_graph, label_graph, symmetrize
 from mts_select.info import RedundancyMatrix, psd_shift
+import mts_select.solver as solver_mod
 from mts_select.solver import (
     coordinate_gradient,
     flatten,
@@ -18,11 +21,12 @@ from mts_select.solver import (
     solve_for_support,
 )
 
-from oracles import grid_search_objective
+from oracles import design_columns, grid_search_objective
 
 
 def random_instance(rng, m=None, n=None):
-    """Random design + PSD-shifted penalty with the optimum inside [0, 3]^m."""
+    """Random design + PSD-shifted penalty with the optimum inside [0, 3]^m,
+    and the (graphs, target) it was built from."""
     m = m or int(rng.integers(1, 6))
     n = n or int(rng.integers(2, 5))
     graphs = [rng.random((n, n)) * 0.9 + 0.1 for _ in range(m)]
@@ -32,17 +36,27 @@ def random_instance(rng, m=None, n=None):
     penalty = psd_shift(RedundancyMatrix(kind="mi", values=0.5 * (raw + raw.T))).values
     lam = float(rng.random() * 0.3)
     beta = float(rng.random() * 1.5 + 0.2)
-    return design, penalty, lam, beta
+    return design, penalty, lam, beta, (graphs, target)
 
 
 class TestFlatten:
     def test_row_major_column(self):
-        design = flatten([np.array([[0.0, 1], [1, 0]])], np.zeros((2, 2)))
-        np.testing.assert_array_equal(design.columns[:, 0], [0, 1, 1, 0])
+        graphs = [np.array([[0.0, 1], [1, 0]]), np.array([[1.0, 2], [0, 3]])]
+        target = np.array([[1.0, 2], [3, 4]])
+        design = flatten(graphs, target)
+        H, h = design_columns(graphs, target)
+        np.testing.assert_array_equal(H[:, 1], [1, 2, 0, 3])
+        np.testing.assert_array_equal(design.gram, H.T @ H)
+        np.testing.assert_array_equal(design.cross, H.T @ h)
+        assert design.target_sq == h @ h == 30.0
 
     def test_zero_matrix(self):
         design = flatten([np.zeros((2, 2))], np.zeros((2, 2)))
-        np.testing.assert_array_equal(design.columns[:, 0], np.zeros(4))
+        H, h = design_columns([np.zeros((2, 2))], np.zeros((2, 2)))
+        np.testing.assert_array_equal(H[:, 0], np.zeros(4))
+        np.testing.assert_array_equal(design.gram, [[0.0]])
+        np.testing.assert_array_equal(design.cross, [0.0])
+        assert design.target_sq == 0.0
 
     def test_gram_diag(self):
         design = flatten([np.array([[0.0, 1], [1, 0]])], np.zeros((2, 2)))
@@ -52,13 +66,18 @@ class TestFlatten:
         rng = np.random.default_rng(0)
         W = rng.random((5, 5))
         design = flatten([W], np.zeros((5, 5)))
-        assert np.sum(W * W) == np.sum(design.columns[:, 0] ** 2)
+        H, _ = design_columns([W], np.zeros((5, 5)))
+        assert design.gram[0, 0] == H[:, 0] @ H[:, 0]
 
-    def test_gram_form_exact_on_knn_graphs(self):
+    @pytest.mark.parametrize(
+        "block_entries", [solver_mod.BLOCK_ENTRIES, 1], ids=["one_block", "row_per_block"]
+    )
+    def test_gram_form_exact_on_knn_graphs(self, monkeypatch, block_entries):
         # Symmetrized k-NN graphs are in {0, 1/2, 1} and the label graph is
         # 0/1, so 4 * W and the label graph are integer and the Gram form is
         # an integer count over 16 (gram) or 4 (cross), whatever the order of
-        # summation.
+        # summation: one block of rows or one row per block.
+        monkeypatch.setattr(solver_mod, "BLOCK_ENTRIES", block_entries)
         rng = np.random.default_rng(15)
         for n, m, k in ((5, 1, 1), (12, 4, 3), (30, 7, 5)):
             graphs = [symmetrize(knn_graph(rng.random((n, n)), k)) for _ in range(m)]
@@ -72,6 +91,22 @@ class TestFlatten:
                 for i in range(m):
                     gram = sum(a * b for a, b in zip(quarters[i], quarters[j]))
                     assert design.gram[i, j] == gram / 16
+            assert design.target_sq == sum(labels)
+
+    def test_peak_memory_has_no_n2_m_term(self):
+        # The design is accumulated over row blocks: its peak is O(m^2 +
+        # block), far below the n^2 * m floats of the written-out columns.
+        rng = np.random.default_rng(16)
+        n, m = 400, 40
+        graphs = [rng.integers(0, 5, size=(n, n)) * 0.25 for _ in range(m)]
+        target = rng.integers(0, 2, size=(n, n)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            flatten(graphs, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * m * 8 / 4
 
     def test_size_mismatch(self):
         with pytest.raises(InputError, match="shape"):
@@ -81,8 +116,9 @@ class TestFlatten:
 class TestObjective:
     def test_zero_alpha(self):
         rng = np.random.default_rng(1)
-        design, penalty, lam, beta = random_instance(rng, m=2, n=3)
-        expected = 0.5 * float(design.target @ design.target)
+        design, penalty, lam, beta, source = random_instance(rng, m=2, n=3)
+        _, h = design_columns(*source)
+        expected = 0.5 * float(h @ h)
         assert objective(np.zeros(2), design, penalty, lam, beta) == pytest.approx(expected)
 
     def test_least_squares_solution(self):
@@ -102,14 +138,37 @@ class TestObjective:
         value = objective(np.array([1.0]), design, np.array([[1.0]]), 0.0, 1.0)
         assert value == pytest.approx(1.0, abs=1e-15)
 
+    def test_gram_form_error_near_perfect_fit(self):
+        # Near a perfect fit the residual is tiny but the Gram form subtracts
+        # terms of size h^T h, so its error is a few ulp of h^T h, not of the
+        # objective; the solver's 1e-10 relative monotone slack must cover it.
+        for seed in range(10):
+            rng = np.random.default_rng(100 + seed)
+            n, m = 8, 5
+            graphs = [rng.random((n, n)) for _ in range(m)]
+            alpha = rng.random(m) + 0.5
+            target = sum(a * W for a, W in zip(alpha, graphs))
+            design = flatten(graphs, target)
+            value = objective(alpha, design, np.zeros((m, m)), 0.0, 0.0)
+            exact = Fraction(0)
+            for i in range(n):
+                for j in range(n):
+                    r = Fraction(target[i, j]) - sum(
+                        Fraction(a) * Fraction(W[i, j]) for a, W in zip(alpha, graphs)
+                    )
+                    exact += r * r
+            error = abs(Fraction(value) - exact / 2) / Fraction(np.spacing(design.target_sq))
+            assert error <= 8
+
 
 class TestCoordinateGradient:
     def test_at_origin(self):
         rng = np.random.default_rng(3)
-        design, penalty, _, beta = random_instance(rng, m=3, n=3)
+        design, penalty, _, beta, source = random_instance(rng, m=3, n=3)
+        H, h = design_columns(*source)
         for k in range(3):
             g = coordinate_gradient(np.zeros(3), k, design, penalty, beta)
-            assert g == pytest.approx(-float(design.columns[:, k] @ design.target), abs=1e-12)
+            assert g == pytest.approx(-float(H[:, k] @ h), abs=1e-12)
 
     def test_hand_computed(self):
         design = flatten([np.array([[1.0, 0], [0, 0]])], np.array([[1.0, 0], [0, 0]]))
@@ -119,12 +178,13 @@ class TestCoordinateGradient:
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
-            design, penalty, _, beta = random_instance(rng)
-            m = design.columns.shape[1]
+            design, penalty, _, beta, source = random_instance(rng)
+            H, h_y = design_columns(*source)
+            m = H.shape[1]
             alpha = rng.random(m)
 
             def smooth(a):
-                resid = design.target - design.columns @ a
+                resid = h_y - H @ a
                 return 0.5 * float(resid @ resid) + beta * float(a @ penalty @ a)
 
             h = 1e-5
@@ -145,7 +205,7 @@ class TestProx:
 class TestSolve:
     def test_full_shrinkage_at_large_lambda(self):
         rng = np.random.default_rng(6)
-        design, penalty, _, beta = random_instance(rng, m=4, n=3)
+        design, penalty, _, beta, _ = random_instance(rng, m=4, n=3)
         lam = max_lambda(design)
         res = solve(design, penalty, lam, beta)
         np.testing.assert_array_equal(res.alpha, np.zeros(4))
@@ -169,13 +229,13 @@ class TestSolve:
         res = solve(design, penalty, lam=0.05, beta=5.0)
         assert res.alpha[0] * res.alpha[1] <= 1e-9
         value = objective(res.alpha, design, penalty, 0.05, 5.0)
-        grid = grid_search_objective(design.columns, design.target, penalty, 0.05, 5.0)
+        grid = grid_search_objective(*design_columns([W, W.copy()], W), penalty, 0.05, 5.0)
         assert value <= grid + 2e-3
 
     def test_objective_trace_nonincreasing(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
-            design, penalty, lam, beta = random_instance(rng)
+            design, penalty, lam, beta, _ = random_instance(rng)
             res = solve(design, penalty, lam, beta)
             trace = res.objective_trace
             assert np.all(np.diff(trace) <= 1e-10 * np.maximum(1.0, np.abs(trace[:-1])))
@@ -183,11 +243,12 @@ class TestSolve:
     def test_kkt_at_termination(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
-            design, penalty, lam, beta = random_instance(rng)
+            design, penalty, lam, beta, source = random_instance(rng)
+            H, h = design_columns(*source)
             res = solve(design, penalty, lam, beta, tol=1e-12)
-            residual = design.target - design.columns @ res.alpha
+            residual = h - H @ res.alpha
             for k in range(len(res.alpha)):
-                g = -(design.columns[:, k] @ residual) + 2.0 * beta * (penalty[k] @ res.alpha)
+                g = -(H[:, k] @ residual) + 2.0 * beta * (penalty[k] @ res.alpha)
                 scale = 1.0 + abs(g)
                 if res.alpha[k] > 0:
                     assert abs(g + lam) <= 1e-6 * scale
@@ -198,16 +259,16 @@ class TestSolve:
         rng = np.random.default_rng(9)
         for m in (1, 2, 3):
             for _ in range(2):
-                design, penalty, lam, beta = random_instance(rng, m=m, n=rng.integers(2, 5))
+                design, penalty, lam, beta, source = random_instance(rng, m=m, n=rng.integers(2, 5))
                 res = solve(design, penalty, lam, beta, tol=1e-12)
                 assert np.max(res.alpha) < 2.9, "instance optimum escapes the oracle box"
                 value = objective(res.alpha, design, penalty, lam, beta)
-                grid = grid_search_objective(design.columns, design.target, penalty, lam, beta)
+                grid = grid_search_objective(*design_columns(*source), penalty, lam, beta)
                 assert abs(value - grid) <= 2e-3
 
     def test_bitwise_deterministic(self):
         rng = np.random.default_rng(10)
-        design, penalty, lam, beta = random_instance(rng, m=4, n=4)
+        design, penalty, lam, beta, _ = random_instance(rng, m=4, n=4)
         a = solve(design, penalty, lam, beta)
         b = solve(design, penalty, lam, beta)
         assert a.alpha.tobytes() == b.alpha.tobytes()
@@ -215,7 +276,7 @@ class TestSolve:
 
     def test_sweep_budget_exhaustion_warns(self):
         rng = np.random.default_rng(11)
-        design, penalty, lam, beta = random_instance(rng, m=4, n=4)
+        design, penalty, lam, beta, _ = random_instance(rng, m=4, n=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert solve(design, penalty, lam, beta).converged
@@ -257,13 +318,31 @@ class TestSolveForSupport:
 
     def test_zero_target_picks_full_shrinkage(self):
         rng = np.random.default_rng(12)
-        design, penalty, _, beta = random_instance(rng, m=3, n=3)
+        design, penalty, _, beta, _ = random_instance(rng, m=3, n=3)
         lam, res = solve_for_support(design, penalty, beta=beta, target_size=0)
         assert np.all(res.alpha <= 1e-9)
 
+    def test_non_monotone_path_warns(self, monkeypatch):
+        # Support sizes 3, 0, 4, 2 at lambda = 0, hi, hi/2, 3hi/4: the size
+        # grows from 3 to 4 between lambda 0 and hi/2.
+        design = flatten([np.eye(3)] * 4, np.eye(3))
+        sizes = iter([3, 0, 4, 2])
+
+        def fake_solve(design, penalty, lam, beta, max_sweeps, tol):
+            alpha = np.zeros(4)
+            alpha[: next(sizes)] = 1.0
+            return solver_mod.SolveResult(alpha, np.array([0.0]), 1, True)
+
+        monkeypatch.setattr(solver_mod, "solve", fake_solve)
+        hi = max_lambda(design)
+        path = [(0.0, 3), (0.5 * hi, 4), (0.75 * hi, 2), (hi, 0)]
+        with pytest.warns(RuntimeWarning, match=re.escape(f"(lambda, size) {path}")):
+            lam, res = solve_for_support(design, np.zeros((4, 4)), beta=1.0, target_size=2)
+        assert lam == 0.75 * hi and int(np.sum(res.alpha > 0)) == 2
+
     def test_support_shrinks_with_lambda(self):
         rng = np.random.default_rng(13)
-        design, penalty, _, beta = random_instance(rng, m=5, n=4)
+        design, penalty, _, beta, _ = random_instance(rng, m=5, n=4)
         sizes = []
         for lam in np.linspace(0.0, max_lambda(design), 8):
             res = solve(design, penalty, float(lam), beta)
@@ -277,9 +356,7 @@ class TestConsistencyGuard:
         # Forcing max_sweeps through a broken penalty should never happen in
         # normal use; simulate by patching the trace comparison path.
         rng = np.random.default_rng(14)
-        design, penalty, lam, beta = random_instance(rng, m=2, n=3)
-        import mts_select.solver as solver_mod
-
+        design, penalty, lam, beta, _ = random_instance(rng, m=2, n=3)
         original = solver_mod.prox_l1_nonneg
 
         calls = {"n": 0}
