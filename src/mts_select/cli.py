@@ -93,7 +93,7 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="score a selection with a 1-NN classifier")
     _add_common(p_eval)
     p_eval.add_argument("--subset", required=True, help="alpha.csv or scores.csv")
-    p_eval.add_argument("--top", type=int, default=None, help="keep the K best-valued features")
+    p_eval.add_argument("--top", type=_positive_int, default=None, help="keep the K best-valued features")
     p_eval.add_argument("--weighted", action="store_true",
                         help="weight each distance matrix by the subset file's value column")
     p_eval.add_argument("--aggregate", choices=["dists", "graphs"], default="dists",
@@ -227,8 +227,6 @@ def _read_subset(path: Path) -> tuple[str, list[tuple[int, float]]]:
 
 def _select_subset(kind: str, entries: list[tuple[int, float]], top: int | None) -> list[tuple[int, float]]:
     if top is not None:
-        if top < 1:
-            raise InputError("--top must be at least 1")
         ranked = sorted(entries, key=lambda e: (-e[1], e[0]))
         chosen = ranked[:top]
     elif kind == "alpha":

@@ -100,18 +100,6 @@ def _sweep(a: int, b: int, p: int, cost_diagonal, window: int | None) -> np.ndar
     return prev1[a].copy()
 
 
-def _dtw_batch(costs: np.ndarray) -> np.ndarray:
-    """Minimum warp-path cost for a (pairs, a, b) stack of cost grids."""
-    p, a, b = costs.shape
-    grid = np.ascontiguousarray(costs.transpose(1, 2, 0))
-
-    def cost_diagonal(k, lo, hi):
-        ii = np.arange(lo, hi + 1)
-        return grid[ii - 1, k - ii - 1]
-
-    return _sweep(a, b, p, cost_diagonal, None)
-
-
 def _dtw_stacked(S: np.ndarray, T: np.ndarray, window: int | None) -> np.ndarray:
     """DTW between the columns of S (a, pairs) and T (b, pairs), pair by pair.
 

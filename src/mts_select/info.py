@@ -383,42 +383,17 @@ def nystrom_redundancy(
     return RedundancyMatrix(kind=kind, values=approx, landmarks=tuple(int(i) for i in landmarks))
 
 
-def min_eigenvalue(values: np.ndarray, dense_cutoff: int = 2000) -> float:
-    """Smallest eigenvalue of a symmetric matrix.
+def psd_shift(R: RedundancyMatrix) -> RedundancyMatrix:
+    """Add gamma * I with gamma = max(0, -lambda_min) + 1e-9, recording gamma.
 
-    Dense eigensolve up to dense_cutoff rows; beyond that, power iteration on
-    the shifted matrix c*I - R (c an upper bound on the spectrum) with a fixed
-    deterministic start vector.
+    lambda_min comes from one dense eigvalsh at every size, so the shifted
+    matrix is positive semidefinite up to eigvalsh's rounding and the
+    selection problem stays convex. The cost is O(m^3): about 1 s at m = 2100
+    on one core of a 2-vCPU Xeon.
     """
-    R = np.asarray(values, dtype=np.float64)
-    m = R.shape[0]
-    if m <= dense_cutoff:
-        return float(np.linalg.eigvalsh(R)[0])
-    c = float(np.max(np.sum(np.abs(R), axis=1)))
-    S = c * np.eye(m) - R
-    v = np.ones(m) + np.linspace(0.0, 1e-3, m)
-    v /= np.linalg.norm(v)
-    rayleigh = 0.0
-    for _ in range(1000):
-        u = S @ v
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return c
-        v = u / norm
-        new_rayleigh = float(v @ (S @ v))
-        if abs(new_rayleigh - rayleigh) <= 1e-13 * max(1.0, abs(new_rayleigh)):
-            rayleigh = new_rayleigh
-            break
-        rayleigh = new_rayleigh
-    return c - rayleigh
-
-
-def psd_shift(R: RedundancyMatrix, dense_cutoff: int = 2000) -> RedundancyMatrix:
-    """Add gamma * I with gamma = max(0, -lambda_min) + 1e-9, recording gamma."""
     values = np.asarray(R.values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise InputError("redundancy matrix contains non-finite entries")
-    lam_min = min_eigenvalue(values, dense_cutoff=dense_cutoff)
-    gamma = max(0.0, -lam_min) + 1e-9
+    gamma = max(0.0, -float(np.linalg.eigvalsh(values)[0])) + 1e-9
     shifted = values + gamma * np.eye(values.shape[0])
     return RedundancyMatrix(kind=R.kind, values=shifted, gamma=gamma, landmarks=R.landmarks)

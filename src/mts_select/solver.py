@@ -196,57 +196,45 @@ def solve_for_support(
     Support size is treated as nonincreasing in lambda; the search runs at
     most max_steps bisections over [0, max_lambda] and returns the candidate
     whose support size is closest to the target (ties prefer the smaller
-    support). The redundancy term does not guarantee a monotone path, so a
-    RuntimeWarning lists the (lambda, support size) path when support grows
-    with lambda.
+    support, then the lambda tried first). The redundancy term does not
+    guarantee a monotone path, so a RuntimeWarning lists the (lambda, support
+    size) path when support grows with lambda.
     """
     if target_size < 0:
         raise InputError("target size must be nonnegative")
-    path: list[tuple[float, int]] = []
+    tried: list[tuple[float, int, SolveResult]] = []
 
-    def run(lam: float) -> tuple[int, SolveResult]:
+    def run(lam: float) -> int:
         res = solve(design, penalty, lam, beta, max_sweeps=max_sweeps, tol=tol)
         size = int(np.sum(res.alpha > support_epsilon))
-        path.append((lam, size))
-        return size, res
+        tried.append((lam, size, res))
+        return size
 
     hi = max_lambda(design)
-    best: tuple[int, int, float, SolveResult] | None = None
-
-    def consider(lam: float, size: int, res: SolveResult) -> None:
-        nonlocal best
-        key = (abs(size - target_size), size)
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], lam, res)
-
-    size_lo, res_lo = run(0.0)
-    consider(0.0, size_lo, res_lo)
-    if size_lo > target_size:
-        size_hi, res_hi = run(hi)
-        consider(hi, size_hi, res_hi)
+    if run(0.0) > target_size:
+        run(hi)
         lo = 0.0
         for _ in range(max_steps):
             mid = 0.5 * (lo + hi)
-            size_mid, res_mid = run(mid)
-            consider(mid, size_mid, res_mid)
+            size_mid = run(mid)
             if size_mid == target_size:
                 break
             if size_mid > target_size:
                 lo = mid
             else:
                 hi = mid
-    assert best is not None
-    path.sort()
+    path = sorted((lam, size) for lam, size, _ in tried)
     if any(a[1] < b[1] for a, b in zip(path, path[1:])):
         warnings.warn(
             f"support size grows with lambda along the bisection path (lambda, size) {path}",
             RuntimeWarning,
             stacklevel=2,
         )
-    if best[1] != target_size:
+    lam, size, res = min(tried, key=lambda t: (abs(t[1] - target_size), t[1]))
+    if size != target_size:
         warnings.warn(
-            f"target support size {target_size} not reached; closest achieved is {best[1]}",
+            f"target support size {target_size} not reached; closest achieved is {size}",
             RuntimeWarning,
             stacklevel=2,
         )
-    return best[2], best[3]
+    return lam, res

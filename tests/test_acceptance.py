@@ -13,7 +13,7 @@ import pytest
 
 from mts_select.cli import main
 from mts_select.dataset import split
-from mts_select.distance import _dtw_batch, distance_matrix
+from mts_select.distance import _dtw_stacked, distance_matrix
 from mts_select.evaluation import accuracy, aggregate, nn1_classify
 from mts_select.graph import row_normalize
 from mts_select.info import (
@@ -92,9 +92,10 @@ def test_criterion_1_dtw_oracle():
             for b, T in seqs.items():
                 table = tables[(a, b)]
                 bound_ok = (table.lengths >= max(a, b)) & (table.lengths < a + b)
+                T_columns = np.ascontiguousarray(T.T)
                 for s in S:
                     costs = np.abs(s[None, :, None] - T[:, None, :])
-                    dp = _dtw_batch(costs)
+                    dp = _dtw_stacked(np.repeat(s[:, None], len(T), axis=1), T_columns, None)
                     flat = np.concatenate(
                         [costs.reshape(len(T), a * b), np.zeros((len(T), 1))], axis=1
                     )

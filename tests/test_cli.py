@@ -243,6 +243,12 @@ class TestErrorPaths:
         assert code == 1
         assert "at least 1" in capsys.readouterr().err
 
+    def test_zero_top_rejected(self, tmp_path, capsys):
+        code = run("eval", "--data", str(tmp_path / "d"), "--subset", str(tmp_path / "scores.csv"),
+                   "--top", "0", "--out", str(tmp_path / "results.json"))
+        assert code == 1
+        assert "at least 1" in capsys.readouterr().err
+
     def test_negative_dtw_window_rejected(self, tmp_path, capsys):
         run(*gen_args(tmp_path / "d"))
         code = run("rank", "--data", str(tmp_path / "d"), "--dtw-window", "-3",

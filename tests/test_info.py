@@ -16,7 +16,6 @@ from mts_select.info import (
     distinct,
     entropy,
     midpoint_quantiles,
-    min_eigenvalue,
     mutual_information,
     nmi,
     nystrom_complete,
@@ -359,11 +358,16 @@ class TestPsdShift:
         with pytest.raises(InputError, match="non-finite"):
             psd_shift(RedundancyMatrix(kind="mi", values=np.array([[np.nan]])))
 
-    def test_power_iteration_path_matches_dense(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            raw = rng.normal(size=(6, 6))
-            sym = 0.5 * (raw + raw.T)
-            dense = min_eigenvalue(sym)
-            iterative = min_eigenvalue(sym, dense_cutoff=1)
-            assert iterative == pytest.approx(dense, abs=1e-7)
+    def test_near_degenerate_minimum_above_two_thousand_features(self):
+        # Two close negative eigenvalues (-1 and -1 + 1e-6) inside a 2001 x 2001
+        # matrix: any estimate of lambda_min that stops short of it leaves
+        # gamma below 1 and the shifted matrix indefinite, so Cholesky fails.
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+        eigenvalues = np.concatenate([[-1.0, -1.0 + 1e-6], rng.uniform(0.0, 5.0, 38)])
+        block = (q * eigenvalues) @ q.T
+        values = 2.0 * np.eye(2001)
+        values[:40, :40] = 0.5 * (block + block.T)
+        shifted = psd_shift(RedundancyMatrix(kind="mi", values=values))
+        assert shifted.gamma >= 1.0
+        np.linalg.cholesky(shifted.values)

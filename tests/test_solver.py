@@ -340,6 +340,23 @@ class TestSolveForSupport:
             lam, res = solve_for_support(design, np.zeros((4, 4)), beta=1.0, target_size=2)
         assert lam == 0.75 * hi and int(np.sum(res.alpha > 0)) == 2
 
+    def test_ties_prefer_smaller_then_earliest(self, monkeypatch):
+        # Support 4 below 0.7 hi, 1 from there up to hi and 0 at hi, with
+        # target 2. Size 1 is nearest; every later size-1 candidate of the
+        # bisection ties with the first one tried (0.75 hi), which wins.
+        design = flatten([np.eye(3)] * 4, np.eye(3))
+        hi = max_lambda(design)
+
+        def fake_solve(design, penalty, lam, beta, max_sweeps, tol):
+            alpha = np.zeros(4)
+            alpha[: 4 if lam < 0.7 * hi else 1 if lam < hi else 0] = 1.0
+            return solver_mod.SolveResult(alpha, np.array([0.0]), 1, True)
+
+        monkeypatch.setattr(solver_mod, "solve", fake_solve)
+        with pytest.warns(RuntimeWarning, match="target support size 2 not reached; closest achieved is 1"):
+            lam, res = solve_for_support(design, np.zeros((4, 4)), beta=1.0, target_size=2)
+        assert lam == 0.75 * hi and int(np.sum(res.alpha > 0)) == 1
+
     def test_support_shrinks_with_lambda(self):
         rng = np.random.default_rng(13)
         design, penalty, _, beta, _ = random_instance(rng, m=5, n=4)
